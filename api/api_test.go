@@ -56,7 +56,7 @@ func TestCanonicalKeyFieldOrder(t *testing.T) {
 // direct core.Evaluate of the same scenario.
 func TestEvaluateMatchesCore(t *testing.T) {
 	cfg := config.Example()
-	resp, err := Evaluate(&EvaluateRequest{Scenario: cfg})
+	resp, err := testEval.Evaluate(context.Background(), &EvaluateRequest{Scenario: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,15 @@ func TestEvaluatorCompiledCache(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(nil); err == nil {
+	if _, err := testEval.Evaluate(context.Background(), nil); err == nil {
 		t.Error("nil request must error")
 	}
-	if _, err := Evaluate(&EvaluateRequest{}); err == nil {
+	if _, err := testEval.Evaluate(context.Background(), &EvaluateRequest{}); err == nil {
 		t.Error("missing scenario must error")
 	}
 	cfg := config.Example()
 	cfg.FPGA = &PlatformConfig{Device: "nope", DutyCycle: 0.3}
-	if _, err := Evaluate(&EvaluateRequest{Scenario: cfg}); err == nil {
+	if _, err := testEval.Evaluate(context.Background(), &EvaluateRequest{Scenario: cfg}); err == nil {
 		t.Error("unknown device must error")
 	}
 }
@@ -141,7 +141,7 @@ func TestEvaluateValidation(t *testing.T) {
 // TestRunCrossoverMatchesCLI pins the DNN crossovers the CLI test
 // asserts ("A2F at N_app = 6", "F2A at T_i = 1.59").
 func TestRunCrossoverMatchesCLI(t *testing.T) {
-	resp, err := RunCrossover(CrossoverRequest{Domain: "DNN"})
+	resp, err := testEval.RunCrossover(context.Background(), CrossoverRequest{Domain: "DNN"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestRunCrossoverMatchesCLI(t *testing.T) {
 	if !resp.F2ALifetimeYears.Found || math.Abs(resp.F2ALifetimeYears.Value-1.59) > 0.01 {
 		t.Errorf("DNN F2A lifetime: %+v, want ~1.59", resp.F2ALifetimeYears)
 	}
-	if _, err := RunCrossover(CrossoverRequest{Domain: "Quantum"}); err == nil {
+	if _, err := testEval.RunCrossover(context.Background(), CrossoverRequest{Domain: "Quantum"}); err == nil {
 		t.Error("unknown domain must error")
 	}
 }
 
 func TestRunSweep(t *testing.T) {
-	resp, err := RunSweep(SweepRequest{Domain: "DNN", Axis: "napps"})
+	resp, err := testEval.RunSweep(context.Background(), SweepRequest{Domain: "DNN", Axis: "napps"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,31 +174,31 @@ func TestRunSweep(t *testing.T) {
 	if resp.Points[5].Ratio >= 1 {
 		t.Errorf("ratio at N=6 is %v, want < 1 (FPGA wins from crossover)", resp.Points[5].Ratio)
 	}
-	if _, err := RunSweep(SweepRequest{Axis: "frequency"}); err == nil {
+	if _, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "frequency"}); err == nil {
 		t.Error("unknown axis must error")
 	}
 }
 
 // TestRunCaps checks the resource bounds on one request.
 func TestRunCaps(t *testing.T) {
-	if _, err := RunSweep(SweepRequest{Axis: "lifetime", Points: MaxSweepPoints + 1}); err == nil {
+	if _, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "lifetime", Points: MaxSweepPoints + 1}); err == nil {
 		t.Error("oversized point count must error")
 	}
-	if _, err := RunSweep(SweepRequest{Axis: "napps", From: 1, To: 1e12}); err == nil {
+	if _, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "napps", From: 1, To: 1e12}); err == nil {
 		t.Error("huge napps range must error")
 	}
-	if _, err := RunMonteCarlo(MonteCarloRequest{Samples: MaxMonteCarloSamples + 1}); err == nil {
+	if _, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{Samples: MaxMonteCarloSamples + 1}); err == nil {
 		t.Error("oversized sample count must error")
 	}
 }
 
 func TestRunMonteCarloDeterministic(t *testing.T) {
 	req := MonteCarloRequest{Domain: "DNN", Samples: 200, Seed: 7}
-	a, err := RunMonteCarlo(req)
+	a, err := testEval.RunMonteCarlo(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMonteCarlo(req)
+	b, err := testEval.RunMonteCarlo(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunMonteCarloDeterministic(t *testing.T) {
 // DNN set, §4.2 reference scenario, 12-point frontier, with the
 // pairwise ratios consistent with the per-platform totals.
 func TestRunCompareDefaults(t *testing.T) {
-	resp, err := RunCompare(CompareRequest{})
+	resp, err := testEval.RunCompare(context.Background(), CompareRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRunCompareDefaults(t *testing.T) {
 // TestRunCompareSelectors checks platform subsetting and its error
 // paths.
 func TestRunCompareSelectors(t *testing.T) {
-	resp, err := RunCompare(CompareRequest{Platforms: KindSpecs("gpu", "asic"), NApps: 3})
+	resp, err := testEval.RunCompare(context.Background(), CompareRequest{Platforms: KindSpecs("gpu", "asic"), NApps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRunCompareSelectors(t *testing.T) {
 		{MaxApps: -5},
 		{MaxApps: MaxCompareApps + 1},
 	} {
-		if _, err := RunCompare(bad); err == nil {
+		if _, err := testEval.RunCompare(context.Background(), bad); err == nil {
 			t.Errorf("request %+v must error", bad)
 		}
 	}
@@ -306,7 +306,7 @@ func TestRunCompareSelectors(t *testing.T) {
 func TestRunCrossoverSelectors(t *testing.T) {
 	// FPGA overtakes the GPU from 3 applications (the gpu-extension
 	// experiment's headline).
-	resp, err := RunCrossover(CrossoverRequest{PlatformA: "fpga", PlatformB: "gpu"})
+	resp, err := testEval.RunCrossover(context.Background(), CrossoverRequest{PlatformA: "fpga", PlatformB: "gpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRunCrossoverSelectors(t *testing.T) {
 		t.Errorf("FPGA-over-GPU crossover: %+v, want 3", resp.A2FNumApps)
 	}
 	// Default requests keep the legacy shape: no selector echoes.
-	legacy, err := RunCrossover(CrossoverRequest{})
+	legacy, err := testEval.RunCrossover(context.Background(), CrossoverRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestRunCrossoverSelectors(t *testing.T) {
 		{PlatformA: "fpga", PlatformB: "fpga"},
 		{PlatformA: "fpga", PlatformB: "npu"},
 	} {
-		if _, err := RunCrossover(bad); err == nil {
+		if _, err := testEval.RunCrossover(context.Background(), bad); err == nil {
 			t.Errorf("request %+v must error", bad)
 		}
 	}
@@ -417,7 +417,7 @@ func TestTimelineNormalization(t *testing.T) {
 // timeline total equals its sequential contrast, and the ratios and
 // winner stay consistent with the totals.
 func TestRunTimelineDefaults(t *testing.T) {
-	resp, err := RunTimeline(TimelineRequest{})
+	resp, err := testEval.RunTimeline(context.Background(), TimelineRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestRunTimelineDefaults(t *testing.T) {
 // one chip lifetime while the sequential contrast pays a fleet
 // rebuild.
 func TestRunTimelineRefreshCap(t *testing.T) {
-	resp, err := RunTimeline(TimelineRequest{ChipLifetimeYears: 8, Platforms: KindSpecs("fpga", "asic")})
+	resp, err := testEval.RunTimeline(context.Background(), TimelineRequest{ChipLifetimeYears: 8, Platforms: KindSpecs("fpga", "asic")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,11 +494,11 @@ func TestRunTimelineRefreshCap(t *testing.T) {
 			asic.SequentialTotalKg, asic.TotalKg)
 	}
 	// Dedicated sizing must cost a reusable platform more than shared.
-	ded, err := RunTimeline(TimelineRequest{Sizing: "dedicated", Platforms: KindSpecs("fpga", "asic")})
+	ded, err := testEval.RunTimeline(context.Background(), TimelineRequest{Sizing: "dedicated", Platforms: KindSpecs("fpga", "asic")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := RunTimeline(TimelineRequest{Platforms: KindSpecs("fpga", "asic")})
+	shared, err := testEval.RunTimeline(context.Background(), TimelineRequest{Platforms: KindSpecs("fpga", "asic")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestRunTimelineValidation(t *testing.T) {
 		{Deployments: []TimelineDeployment{{LifetimeYears: 1, Volume: -2}}},
 		{Deployments: []TimelineDeployment{{StartYears: -1, LifetimeYears: 1, Volume: 1}}},
 	} {
-		if _, err := RunTimeline(bad); err == nil {
+		if _, err := testEval.RunTimeline(context.Background(), bad); err == nil {
 			t.Errorf("request %+v must error", bad)
 		}
 	}

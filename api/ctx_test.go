@@ -9,45 +9,18 @@ import (
 	"greenfpga/internal/config"
 )
 
-// TestCanceledContextStopsEveryEntryPoint checks each Evaluator entry
-// point observes an already-dead context instead of computing.
+// TestCanceledContextStopsEveryEntryPoint checks each endpoint's
+// Evaluator run observes an already-dead context instead of computing.
 func TestCanceledContextStopsEveryEntryPoint(t *testing.T) {
-	e := NewEvaluator(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	checks := []struct {
-		name string
-		run  func() error
-	}{
-		{"Evaluate", func() error {
-			_, err := e.Evaluate(ctx, &EvaluateRequest{Scenario: config.Example()})
-			return err
-		}},
-		{"RunCrossover", func() error {
-			_, err := e.RunCrossover(ctx, CrossoverRequest{}.Normalized())
-			return err
-		}},
-		{"RunCompare", func() error {
-			_, err := e.RunCompare(ctx, CompareRequest{}.Normalized())
-			return err
-		}},
-		{"RunTimeline", func() error {
-			_, err := e.RunTimeline(ctx, TimelineRequest{}.Normalized())
-			return err
-		}},
-		{"RunSweep", func() error {
-			_, err := e.RunSweep(ctx, SweepRequest{Domain: "Crypto", Axis: "lifetime", Points: 64}.Normalized())
-			return err
-		}},
-		{"RunMonteCarlo", func() error {
-			_, err := e.RunMonteCarlo(ctx, MonteCarloRequest{Samples: 5000, Seed: 1}.Normalized())
-			return err
-		}},
-	}
-	for _, c := range checks {
-		if err := c.run(); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s with canceled ctx: err = %v, want context.Canceled", c.name, err)
+	forEachEndpoint(t, func(t *testing.T, ep *Endpoint, body string) {
+		if _, err := syncBytes(ctx, ep, body); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with canceled ctx: err = %v, want context.Canceled", ep.Name, err)
 		}
+	})
+	if _, err := testEval.Evaluate(ctx, &EvaluateRequest{Scenario: config.Example()}); !errors.Is(err, context.Canceled) {
+		t.Errorf("legacy-scenario Evaluate with canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -8,6 +8,7 @@
 package api
 
 import (
+	"context"
 	"fmt"
 
 	"greenfpga/internal/carbon"
@@ -15,6 +16,7 @@ import (
 	"greenfpga/internal/core"
 	"greenfpga/internal/device"
 	"greenfpga/internal/isoperf"
+	"greenfpga/internal/telemetry"
 	"greenfpga/internal/units"
 )
 
@@ -178,14 +180,16 @@ func (e *Evaluator) compiledForSpec(sp PlatformSpec, key string) (*core.Compiled
 // every endpoint's platform resolution (and the BenchmarkResolveSpecs
 // subject).
 func (e *Evaluator) ResolveSet(specs []PlatformSpec) (core.CompiledSet, error) {
-	return e.resolveAll(specs, "", "platform set", 1)
+	return e.resolveAll(context.Background(), specs, "", "platform set", 1)
 }
 
-// resolveAll resolves specs with an endpoint-named error context, a
-// minimum platform count, and an unknown-domain fallback: a request
-// whose full-set expansion failed (empty specs with a named domain)
-// surfaces the domain lookup error instead of a generic one.
-func (e *Evaluator) resolveAll(specs []PlatformSpec, domain, what string, min int) (core.CompiledSet, error) {
+// resolveAll resolves specs — timed as ctx's resolve stage — with an
+// endpoint-named error context, a minimum platform count, and an
+// unknown-domain fallback: a request whose full-set expansion failed
+// (empty specs with a named domain) surfaces the domain lookup error
+// instead of a generic one.
+func (e *Evaluator) resolveAll(ctx context.Context, specs []PlatformSpec, domain, what string, min int) (core.CompiledSet, error) {
+	defer telemetry.StartStage(ctx, "resolve")()
 	if len(specs) == 0 {
 		if domain != "" {
 			if _, err := isoperf.ByName(domain); err != nil {

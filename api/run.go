@@ -19,6 +19,7 @@ import (
 	"greenfpga/internal/device"
 	"greenfpga/internal/experiments"
 	"greenfpga/internal/isoperf"
+	"greenfpga/internal/montecarlo"
 	"greenfpga/internal/sweep"
 	"greenfpga/internal/telemetry"
 	"greenfpga/internal/units"
@@ -39,10 +40,6 @@ type Evaluator struct {
 func NewEvaluator(maxCompiled int) *Evaluator {
 	return &Evaluator{compiled: cache.New(maxCompiled)}
 }
-
-// defaultEvaluator backs the package-level compute functions (the CLI
-// path; the server holds its own long-lived Evaluator).
-var defaultEvaluator = NewEvaluator(64)
 
 // CompileStats returns the compiled-platform cache's cumulative hit
 // and miss counts.
@@ -186,13 +183,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, req *EvaluateRequest) (*Evalua
 	return resp, nil
 }
 
-// Evaluate runs the request through the package-level evaluator under
-// a background context (the CLI path; the server passes its own
-// request-scoped context to the Evaluator method).
-func Evaluate(req *EvaluateRequest) (*EvaluateResponse, error) {
-	return defaultEvaluator.Evaluate(context.Background(), req)
-}
-
 // domainSets memoizes compiled iso-performance platform sets by
 // canonical domain name; the calibrated domains are immutable, so the
 // cache never invalidates. Plain {domain, kind} specs resolve to these
@@ -283,7 +273,7 @@ func (r CrossoverRequest) Normalized() CrossoverRequest {
 	}
 	switch {
 	case len(r.Platforms) == 0 && r.PlatformA == "" && r.PlatformB == "":
-		r.Platforms = []PlatformSpec{{Domain: r.Domain, Kind: "fpga"}, {Domain: r.Domain, Kind: "asic"}}
+		r.Platforms = pairSpecs(r.Domain)
 	case len(r.Platforms) == 0 && r.PlatformA != "" && r.PlatformB != "":
 		r.Platforms = []PlatformSpec{{Domain: r.Domain, Kind: r.PlatformA}, {Domain: r.Domain, Kind: r.PlatformB}}
 		r.PlatformA, r.PlatformB = "", ""
@@ -333,9 +323,7 @@ func (e *Evaluator) RunCrossover(ctx context.Context, req CrossoverRequest) (*Cr
 		return nil, &Error{Code: "invalid_request", Message: fmt.Sprintf(
 			"crossover solves between exactly two platforms, got %d", len(req.Platforms))}
 	}
-	stop := telemetry.StartStage(ctx, "resolve")
-	cs, err := e.resolveAll(req.Platforms, req.Domain, "crossover", 2)
-	stop()
+	cs, err := e.resolveAll(ctx, req.Platforms, req.Domain, "crossover", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -373,28 +361,13 @@ func (e *Evaluator) RunCrossover(ctx context.Context, req CrossoverRequest) (*Cr
 	return resp, nil
 }
 
-// RunCrossover runs the request through the package-level evaluator
-// under a background context.
-func RunCrossover(req CrossoverRequest) (*CrossoverResponse, error) {
-	return defaultEvaluator.RunCrossover(context.Background(), req)
-}
-
 // Normalized fills the CLI defaults for a compare request (DNN
 // domain, full platform set, the §4.2 reference scenario, a
 // 12-application frontier), expands an empty platform list into the
 // domain's explicit kind specs, and folds the legacy scenario fields
 // into the workload — one cache entry per semantic request.
 func (r CompareRequest) Normalized() CompareRequest {
-	r.Platforms = append([]PlatformSpec(nil), r.Platforms...)
-	if r.Domain == "" && needsDomain(r.Platforms) {
-		r.Domain = "DNN"
-	}
-	if len(r.Platforms) == 0 {
-		r.Platforms = domainKindSpecs(r.Domain)
-	}
-	if len(r.Platforms) > 0 {
-		r.Domain = specDomains(r.Platforms, r.Domain)
-	}
+	r.Platforms, r.Domain = normalizedPlatforms(r.Platforms, r.Domain, domainKindSpecs)
 	if r.Workload == nil {
 		r.Workload = &WorkloadSpec{NApps: r.NApps, LifetimeYears: r.LifetimeYears, Volume: r.Volume}
 		r.NApps, r.LifetimeYears, r.Volume = 0, 0, 0
@@ -438,9 +411,7 @@ func (e *Evaluator) RunCompare(ctx context.Context, req CompareRequest) (*Compar
 		return nil, &Error{Code: "invalid_request",
 			Message: fmt.Sprintf("%d frontier points exceeds the %d limit", req.MaxApps, MaxCompareApps)}
 	}
-	stop := telemetry.StartStage(ctx, "resolve")
-	cs, err := e.resolveAll(req.Platforms, req.Domain, "compare", 2)
-	stop()
+	cs, err := e.resolveAll(ctx, req.Platforms, req.Domain, "compare", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -475,12 +446,6 @@ func (e *Evaluator) RunCompare(ctx context.Context, req CompareRequest) (*Compar
 	return resp, nil
 }
 
-// RunCompare runs the request through the package-level evaluator
-// under a background context.
-func RunCompare(req CompareRequest) (*CompareResponse, error) {
-	return defaultEvaluator.RunCompare(context.Background(), req)
-}
-
 // Normalized fills the CLI defaults for a timeline request, expands
 // the platform list and the generator shorthand, folds the legacy
 // timeline fields into the workload, and distributes a request-level
@@ -488,16 +453,7 @@ func RunCompare(req CompareRequest) (*CompareResponse, error) {
 // shorthand body and its spelled-out spec equivalent are one cache
 // entry.
 func (r TimelineRequest) Normalized() TimelineRequest {
-	r.Platforms = append([]PlatformSpec(nil), r.Platforms...)
-	if r.Domain == "" && needsDomain(r.Platforms) {
-		r.Domain = "DNN"
-	}
-	if len(r.Platforms) == 0 {
-		r.Platforms = domainKindSpecs(r.Domain)
-	}
-	if len(r.Platforms) > 0 {
-		r.Domain = specDomains(r.Platforms, r.Domain)
-	}
+	r.Platforms, r.Domain = normalizedPlatforms(r.Platforms, r.Domain, domainKindSpecs)
 	if r.Workload == nil {
 		r.Workload = &WorkloadSpec{
 			NApps: r.NApps, IntervalYears: r.IntervalYears,
@@ -572,9 +528,7 @@ func (e *Evaluator) RunTimeline(ctx context.Context, req TimelineRequest) (*Time
 		return nil, &Error{Code: "invalid_request",
 			Message: fmt.Sprintf("negative chip lifetime %g", req.ChipLifetimeYears)}
 	}
-	stop := telemetry.StartStage(ctx, "resolve")
-	cs, err := e.resolveAll(req.Platforms, req.Domain, "timeline", 2)
-	stop()
+	cs, err := e.resolveAll(ctx, req.Platforms, req.Domain, "timeline", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -615,26 +569,13 @@ func (e *Evaluator) RunTimeline(ctx context.Context, req TimelineRequest) (*Time
 	return resp, nil
 }
 
-// RunTimeline runs the request through the package-level evaluator
-// under a background context.
-func RunTimeline(req TimelineRequest) (*TimelineResponse, error) {
-	return defaultEvaluator.RunTimeline(context.Background(), req)
-}
-
 // Normalized fills the per-axis CLI defaults, expands an empty
 // platform list into the legacy {domain fpga, domain asic} pair, and
 // canonicalizes the off-axis workload (the swept axis's own field is
 // zeroed — its value comes from the axis), so bodies that spell the
 // defaults out and bodies that omit them are one cache entry.
 func (r SweepRequest) Normalized() SweepRequest {
-	r.Platforms = append([]PlatformSpec(nil), r.Platforms...)
-	if r.Domain == "" && needsDomain(r.Platforms) {
-		r.Domain = "DNN"
-	}
-	if len(r.Platforms) == 0 {
-		r.Platforms = []PlatformSpec{{Domain: r.Domain, Kind: "fpga"}, {Domain: r.Domain, Kind: "asic"}}
-	}
-	r.Domain = specDomains(r.Platforms, r.Domain)
+	r.Platforms, r.Domain = normalizedPlatforms(r.Platforms, r.Domain, pairSpecs)
 	if r.Axis == "" {
 		r.Axis = "napps"
 	}
@@ -731,25 +672,16 @@ func (r SweepRequest) legacyPairShape() bool {
 // checks ctx before its point, so a cancelled request stops the grid
 // instead of computing doomed cells.
 func (e *Evaluator) RunSweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	st, err := e.prepareSweep(ctx, req)
+	p, err := e.planSweep(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	defer telemetry.StartStage(ctx, "compute")()
-	pts, err := sweep.RunN(st.ax, len(st.cs), st.eval(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return st.assemble(pts), nil
+	return p.run(ctx)
 }
 
 // sweepStudy is a validated, resolved sweep: the axis, the compiled
 // platform set and the off-axis workload parameters — everything the
-// point evaluation needs, with the evaluation itself left to the
-// caller. RunSweep evaluates all points in one shot; the jobs layer
-// evaluates index ranges (sweep.RunRangeN) and reassembles, which
-// yields the identical response because point values depend only on
-// the axis and the compiled set.
+// point evaluation needs.
 type sweepStudy struct {
 	req SweepRequest // normalized
 	ax  sweep.Axis
@@ -757,9 +689,11 @@ type sweepStudy struct {
 	cs  core.CompiledSet
 }
 
-// prepareSweep normalizes and validates the request and resolves its
-// platform set (timing the resolve stage), without evaluating points.
-func (e *Evaluator) prepareSweep(ctx context.Context, req SweepRequest) (*sweepStudy, error) {
+// planSweep normalizes and validates the request and resolves its
+// platform set (timing the resolve stage), then plans the axis in
+// sweepChunkPoints-point chunks. A point's floats are its x and one
+// total per platform.
+func (e *Evaluator) planSweep(ctx context.Context, req SweepRequest) (*chunkPlan[*SweepResponse], error) {
 	req = req.Normalized()
 	ax, err := req.SweepAxis()
 	if err != nil {
@@ -769,20 +703,19 @@ func (e *Evaluator) prepareSweep(ctx context.Context, req SweepRequest) (*sweepS
 	if err != nil {
 		return nil, err
 	}
-	stop := telemetry.StartStage(ctx, "resolve")
-	cs, err := e.resolveAll(req.Platforms, req.Domain, "sweep", 1)
-	stop()
+	cs, err := e.resolveAll(ctx, req.Platforms, req.Domain, "sweep", 1)
 	if err != nil {
 		return nil, err
 	}
-	return &sweepStudy{req: req, ax: ax, w: w, cs: cs}, nil
+	return &chunkPlan[*SweepResponse]{items: len(ax.Values), perChunk: sweepChunkPoints, width: 1 + len(cs),
+		chunker: &sweepStudy{req: req, ax: ax, w: w, cs: cs}}, nil
 }
 
-// eval builds the per-point evaluator over the compiled set, bound to
-// ctx so a cancelled request stops the grid instead of computing
-// doomed cells.
-func (st *sweepStudy) eval(ctx context.Context) sweep.SetEval {
-	return func(x float64, totals []units.Mass) error {
+// compute evaluates axis points [lo, hi) over the compiled set — each
+// point's totals in parallel, bound to ctx so a cancelled request
+// stops the grid instead of computing doomed cells.
+func (st *sweepStudy) compute(ctx context.Context, lo, hi int) ([]float64, error) {
+	pts, err := sweep.RunRangeN(st.ax, len(st.cs), lo, hi, func(x float64, totals []units.Mass) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -803,57 +736,53 @@ func (st *sweepStudy) eval(ctx context.Context) sweep.SetEval {
 			totals[i] = m
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	flat := make([]float64, 0, len(pts)*(1+len(st.cs)))
+	for _, p := range pts {
+		flat = append(flat, p.X)
+		for _, m := range p.Totals {
+			flat = append(flat, m.Kilograms())
+		}
+	}
+	return flat, nil
 }
 
-// assemble shapes the evaluated points into the response document.
-func (st *sweepStudy) assemble(pts []sweep.PointN) *SweepResponse {
+// assemble shapes the evaluated points' floats into the response
+// document.
+func (st *sweepStudy) assemble(_ context.Context, flat []float64) (*SweepResponse, error) {
 	req := st.req
-	resp := &SweepResponse{Domain: req.Domain, Axis: req.Axis, Points: make([]SweepPoint, len(pts))}
-	if req.legacyPairShape() {
-		for i, p := range pts {
-			f, a := p.Totals[0], p.Totals[1]
-			ratio := math.Inf(1)
-			if a != 0 {
-				ratio = f.Kilograms() / a.Kilograms()
-			}
-			resp.Points[i] = SweepPoint{
-				X: p.X, FPGAKg: f.Kilograms(), ASICKg: a.Kilograms(), Ratio: ratio,
-			}
+	width := 1 + len(st.cs)
+	resp := &SweepResponse{Domain: req.Domain, Axis: req.Axis, Points: make([]SweepPoint, len(flat)/width)}
+	legacy := req.legacyPairShape()
+	if !legacy {
+		for _, c := range st.cs {
+			resp.Platforms = append(resp.Platforms, c.Platform().Spec.Name)
 		}
-		return resp
 	}
-	for _, c := range st.cs {
-		resp.Platforms = append(resp.Platforms, c.Platform().Spec.Name)
-	}
-	for i, p := range pts {
-		totals := make([]float64, len(p.Totals))
-		for j, m := range p.Totals {
-			totals[j] = m.Kilograms()
+	for i := range resp.Points {
+		row := flat[i*width : (i+1)*width : (i+1)*width]
+		if !legacy {
+			resp.Points[i] = SweepPoint{X: row[0], TotalsKg: row[1:]}
+			continue
 		}
-		resp.Points[i] = SweepPoint{X: p.X, TotalsKg: totals}
+		f, a := row[1], row[2]
+		ratio := math.Inf(1)
+		if a != 0 {
+			ratio = f / a
+		}
+		resp.Points[i] = SweepPoint{X: row[0], FPGAKg: f, ASICKg: a, Ratio: ratio}
 	}
-	return resp
-}
-
-// RunSweep runs the request through the package-level evaluator under
-// a background context.
-func RunSweep(req SweepRequest) (*SweepResponse, error) {
-	return defaultEvaluator.RunSweep(context.Background(), req)
+	return resp, nil
 }
 
 // Normalized fills the CLI defaults (2000 samples, seed 1, 5 apps,
 // DNN domain, FPGA-vs-ASIC pair) and expands the legacy fields into
 // the spec form.
 func (r MonteCarloRequest) Normalized() MonteCarloRequest {
-	r.Platforms = append([]PlatformSpec(nil), r.Platforms...)
-	if r.Domain == "" && needsDomain(r.Platforms) {
-		r.Domain = "DNN"
-	}
-	if len(r.Platforms) == 0 {
-		r.Platforms = []PlatformSpec{{Domain: r.Domain, Kind: "fpga"}, {Domain: r.Domain, Kind: "asic"}}
-	}
-	r.Domain = specDomains(r.Platforms, r.Domain)
+	r.Platforms, r.Domain = normalizedPlatforms(r.Platforms, r.Domain, pairSpecs)
 	if r.Samples == 0 {
 		r.Samples = 2000
 	}
@@ -876,24 +805,15 @@ func (r MonteCarloRequest) Normalized() MonteCarloRequest {
 // the FPGA app-dev flow), the platforms must be plain kind selectors
 // of a single domain.
 func (e *Evaluator) RunMonteCarlo(ctx context.Context, req MonteCarloRequest) (*MonteCarloResponse, error) {
-	m, err := e.prepareMonteCarlo(ctx, req)
+	p, err := e.planMonteCarlo(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	defer telemetry.StartStage(ctx, "compute")()
-	res, err := greenfpga.RunMonteCarlo(m.config(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return m.assemble(res), nil
+	return p.run(ctx)
 }
 
 // mcStudy is a validated, resolved Monte-Carlo study: the domain
-// calibration, the two plain platform kinds and the draw plan. The
-// draw evaluation itself is left to the caller: RunMonteCarlo runs it
-// in one shot; the jobs layer evaluates index ranges of the same
-// config (montecarlo.RunRange) and finalizes the concatenation, which
-// is bit-identical because every draw is sub-seeded by its index.
+// calibration, the two plain platform kinds and the draw count.
 type mcStudy struct {
 	req   MonteCarloRequest // normalized
 	d     greenfpga.Domain
@@ -901,10 +821,11 @@ type mcStudy struct {
 	nApps int
 }
 
-// prepareMonteCarlo normalizes and validates the request and resolves
-// the domain calibration (timing the resolve stage), without running
-// any draws.
-func (e *Evaluator) prepareMonteCarlo(ctx context.Context, req MonteCarloRequest) (*mcStudy, error) {
+// planMonteCarlo normalizes and validates the request and resolves the
+// domain calibration (timing the resolve stage), then plans the draws
+// in mcChunkDraws-draw chunks of one float each; the assembly computes
+// the moments, percentiles and tornado over every draw in index order.
+func (e *Evaluator) planMonteCarlo(ctx context.Context, req MonteCarloRequest) (*chunkPlan[*MonteCarloResponse], error) {
 	req = req.Normalized()
 	if req.NApps != 0 {
 		return nil, &Error{Code: "invalid_request",
@@ -950,7 +871,8 @@ func (e *Evaluator) prepareMonteCarlo(ctx context.Context, req MonteCarloRequest
 	if err != nil {
 		return nil, err
 	}
-	return &mcStudy{req: req, d: d, a: a, b: b, nApps: w.NApps}, nil
+	return &chunkPlan[*MonteCarloResponse]{items: req.Samples, perChunk: mcChunkDraws, width: 1,
+		chunker: &mcStudy{req: req, d: d, a: a, b: b, nApps: w.NApps}}, nil
 }
 
 // config builds the study's Monte-Carlo configuration bound to ctx
@@ -961,8 +883,18 @@ func (m *mcStudy) config(ctx context.Context) greenfpga.MCConfig {
 		m.nApps, m.req.Samples, m.req.Seed)
 }
 
-// assemble shapes a finalized study result into the response document.
-func (m *mcStudy) assemble(res greenfpga.MCResult) *MonteCarloResponse {
+// compute evaluates draws [lo, hi).
+func (m *mcStudy) compute(ctx context.Context, lo, hi int) ([]float64, error) {
+	return montecarlo.RunRange(m.config(ctx), lo, hi)
+}
+
+// assemble finalizes the draws — moments, percentiles and the tornado,
+// over every draw in index order — into the response document.
+func (m *mcStudy) assemble(ctx context.Context, draws []float64) (*MonteCarloResponse, error) {
+	res, err := montecarlo.Finalize(m.config(ctx), draws)
+	if err != nil {
+		return nil, err
+	}
 	wins := 0
 	for _, s := range res.Samples {
 		if s < 1 {
@@ -987,13 +919,7 @@ func (m *mcStudy) assemble(res greenfpga.MCResult) *MonteCarloResponse {
 	for _, s := range res.Tornado {
 		resp.Tornado = append(resp.Tornado, TornadoEntry{Param: s.Param, Swing: s.Swing()})
 	}
-	return resp
-}
-
-// RunMonteCarlo runs the request through the package-level evaluator
-// under a background context.
-func RunMonteCarlo(req MonteCarloRequest) (*MonteCarloResponse, error) {
-	return defaultEvaluator.RunMonteCarlo(context.Background(), req)
+	return resp, nil
 }
 
 // Devices returns the Table 3 catalog in JSON form.
@@ -1064,14 +990,7 @@ const fleetMaxApps = 30
 // workload), so spelled-out and omitted defaults share one cache
 // entry.
 func (r FleetRequest) Normalized() FleetRequest {
-	r.Platforms = append([]PlatformSpec(nil), r.Platforms...)
-	if r.Domain == "" && needsDomain(r.Platforms) {
-		r.Domain = "DNN"
-	}
-	if len(r.Platforms) == 0 {
-		r.Platforms = []PlatformSpec{{Domain: r.Domain, Kind: "fpga"}, {Domain: r.Domain, Kind: "asic"}}
-	}
-	r.Domain = specDomains(r.Platforms, r.Domain)
+	r.Platforms, r.Domain = normalizedPlatforms(r.Platforms, r.Domain, pairSpecs)
 	if len(r.Regions) == 0 {
 		r.Regions = carbon.Names()
 	} else {
@@ -1087,9 +1006,7 @@ func (r FleetRequest) Normalized() FleetRequest {
 
 // fleetStudy is a validated, resolved siting study: the candidate
 // regions, the workload, and each platform compiled in each region
-// (cells[region][platform]). The region evaluations are independent,
-// which is what lets the jobs layer run one chunk per region and
-// reassemble the identical response.
+// (cells[region][platform]).
 type fleetStudy struct {
 	req     FleetRequest // normalized
 	w       WorkloadSpec
@@ -1099,11 +1016,13 @@ type fleetStudy struct {
 	cells   [][]*core.Compiled
 }
 
-// prepareFleet normalizes and validates the request and compiles every
+// planFleet normalizes and validates the request and compiles every
 // (region, platform) cell — through the content-addressed spec cache,
-// so two studies over overlapping grids share compilations — without
-// evaluating anything.
-func (e *Evaluator) prepareFleet(ctx context.Context, req FleetRequest) (*fleetStudy, error) {
+// so two studies over overlapping grids share compilations — then
+// plans one chunk per region: a region's whole platform row is a
+// natural checkpoint unit (regions are independent, and a row is a
+// handful of evaluations).
+func (e *Evaluator) planFleet(ctx context.Context, req FleetRequest) (*chunkPlan[*FleetResponse], error) {
 	req = req.Normalized()
 	w, err := req.Workload.uniformArm("fleet")
 	if err != nil {
@@ -1186,7 +1105,7 @@ func (e *Evaluator) prepareFleet(ctx context.Context, req FleetRequest) (*fleetS
 			}
 		}
 	}
-	return st, nil
+	return &chunkPlan[*FleetResponse]{items: len(st.regions), perChunk: 1, width: st.width(), chunker: st}, nil
 }
 
 // width is the per-region payload length: (total, operation, embodied)
@@ -1200,42 +1119,45 @@ func (st *fleetStudy) width() int {
 	return n
 }
 
-// evalRegion evaluates region ri's full platform row — the shared
-// uniform scenario per platform plus the pairwise A2F crossover — as a
-// flat float vector, the unit the jobs layer checkpoints.
-func (st *fleetStudy) evalRegion(ctx context.Context, ri int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// compute evaluates the platform rows of regions [lo, hi) — the shared
+// uniform scenario per platform plus the pairwise A2F crossover — as
+// one flat float vector, checking ctx between regions.
+func (st *fleetStudy) compute(ctx context.Context, lo, hi int) ([]float64, error) {
 	life := units.YearsOf(st.w.LifetimeYears)
-	out := make([]float64, 0, st.width())
-	for _, c := range st.cells[ri] {
-		a, err := c.EvaluateUniform(st.w.NApps, life, st.w.Volume, st.w.SizeGates)
-		if err != nil {
+	out := make([]float64, 0, (hi-lo)*st.width())
+	for _, row := range st.cells[lo:hi] {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		total := a.Total().Kilograms()
-		op := a.Breakdown.Operation.Kilograms()
-		out = append(out, total, op, total-op)
-	}
-	if len(st.cells[ri]) == 2 {
-		n, found, err := core.CrossoverNumAppsBetween(
-			st.cells[ri][0], st.cells[ri][1], life, st.w.Volume, st.w.SizeGates, fleetMaxApps)
-		if err != nil {
-			return nil, err
+		for _, c := range row {
+			a, err := c.EvaluateUniform(st.w.NApps, life, st.w.Volume, st.w.SizeGates)
+			if err != nil {
+				return nil, err
+			}
+			total := a.Total().Kilograms()
+			op := a.Breakdown.Operation.Kilograms()
+			out = append(out, total, op, total-op)
 		}
-		f := 0.0
-		if found {
-			f = 1
+		if len(row) == 2 {
+			n, found, err := core.CrossoverNumAppsBetween(
+				row[0], row[1], life, st.w.Volume, st.w.SizeGates, fleetMaxApps)
+			if err != nil {
+				return nil, err
+			}
+			f := 0.0
+			if found {
+				f = 1
+			}
+			out = append(out, f, float64(n))
 		}
-		out = append(out, f, float64(n))
 	}
 	return out, nil
 }
 
-// assemble shapes the per-region vectors into the response document.
-func (st *fleetStudy) assemble(rows [][]float64) *FleetResponse {
-	nP := len(st.names)
+// assemble shapes the regions' floats, in region order, into the
+// response document.
+func (st *fleetStudy) assemble(_ context.Context, flat []float64) (*FleetResponse, error) {
+	nP, width := len(st.names), st.width()
 	resp := &FleetResponse{
 		Domain:    st.req.Domain,
 		Shift:     st.req.Shift,
@@ -1247,7 +1169,7 @@ func (st *fleetStudy) assemble(rows [][]float64) *FleetResponse {
 		bestBy[i].TotalKg = math.Inf(1)
 	}
 	for ri, reg := range st.regions {
-		vals := rows[ri]
+		vals := flat[ri*width : (ri+1)*width]
 		row := FleetRegionRow{
 			Region:      reg.Name,
 			Traced:      reg.Traced,
@@ -1283,7 +1205,7 @@ func (st *fleetStudy) assemble(rows [][]float64) *FleetResponse {
 		resp.Regions = append(resp.Regions, row)
 	}
 	resp.BestByPlatform = bestBy
-	return resp
+	return resp, nil
 }
 
 // RunFleet runs a carbon-aware placement study: every platform sited
@@ -1293,26 +1215,11 @@ func (st *fleetStudy) assemble(rows [][]float64) *FleetResponse {
 // legacy closed-form path, traced regions integrate their hourly
 // signal. The per-region evaluations check ctx between regions.
 func (e *Evaluator) RunFleet(ctx context.Context, req FleetRequest) (*FleetResponse, error) {
-	st, err := e.prepareFleet(ctx, req)
+	p, err := e.planFleet(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	defer telemetry.StartStage(ctx, "compute")()
-	rows := make([][]float64, len(st.regions))
-	for i := range rows {
-		vals, err := st.evalRegion(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = vals
-	}
-	return st.assemble(rows), nil
-}
-
-// RunFleet runs the request through the package-level evaluator under
-// a background context.
-func RunFleet(req FleetRequest) (*FleetResponse, error) {
-	return defaultEvaluator.RunFleet(context.Background(), req)
+	return p.run(ctx)
 }
 
 // Experiments returns the paper-artifact registry IDs in run order.

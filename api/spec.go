@@ -269,6 +269,30 @@ func needsDomain(specs []PlatformSpec) bool {
 	return false
 }
 
+// normalizedPlatforms is the platform half of every compute request's
+// normalization: it copies specs, defaults a missing domain to DNN
+// where a kind selector needs one, expands an empty list through
+// defaults, and returns the specs with the domain they share.
+func normalizedPlatforms(specs []PlatformSpec, domain string,
+	defaults func(domain string) []PlatformSpec) ([]PlatformSpec, string) {
+	specs = append([]PlatformSpec(nil), specs...)
+	if domain == "" && needsDomain(specs) {
+		domain = "DNN"
+	}
+	if len(specs) == 0 {
+		specs = defaults(domain)
+	}
+	if len(specs) > 0 {
+		domain = specDomains(specs, domain)
+	}
+	return specs, domain
+}
+
+// pairSpecs is a domain's paper-default FPGA-vs-ASIC pair.
+func pairSpecs(domain string) []PlatformSpec {
+	return []PlatformSpec{{Domain: domain, Kind: "fpga"}, {Domain: domain, Kind: "asic"}}
+}
+
 // domainKindSpecs expands "the domain's full platform set" into
 // explicit kind specs, in set order. Unknown domains return nil; the
 // compute entry points surface the lookup error.

@@ -494,7 +494,7 @@ func TestEvaluateSpecForm(t *testing.T) {
 // crossover between catalog devices, a timeline over inline configs.
 func TestOrthogonalityMatrix(t *testing.T) {
 	// Sweep any platform set: per-platform totals, no pair fields.
-	sw, err := RunSweep(SweepRequest{
+	sw, err := testEval.RunSweep(context.Background(), SweepRequest{
 		Axis:      "napps",
 		To:        3,
 		Platforms: KindSpecs("gpu", "cpu"),
@@ -517,7 +517,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 		}
 	}
 	// The legacy pair shape keeps its dedicated fields.
-	legacy, err := RunSweep(SweepRequest{Domain: "DNN", Axis: "napps", To: 2})
+	legacy, err := testEval.RunSweep(context.Background(), SweepRequest{Domain: "DNN", Axis: "napps", To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 	}
 	// A three-platform sweep works too (the old engine was hardwired
 	// to the pair).
-	wide, err := RunSweep(SweepRequest{Axis: "lifetime", Points: 4, Platforms: KindSpecs("fpga", "asic", "gpu")})
+	wide, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "lifetime", Points: 4, Platforms: KindSpecs("fpga", "asic", "gpu")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 	}
 
 	// Monte-Carlo over GPU-vs-FPGA.
-	mc, err := RunMonteCarlo(MonteCarloRequest{
+	mc, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{
 		Samples: 50, Seed: 9,
 		Platforms: KindSpecs("gpu", "fpga"),
 	})
@@ -554,16 +554,15 @@ func TestOrthogonalityMatrix(t *testing.T) {
 		t.Errorf("mc result: %+v", mc)
 	}
 	// The legacy default keeps its shape (no echoes) and exactly the
-	// DomainRatioStudy numbers (the Between generalization pins the
-	// (fpga, asic) instance bit-for-bit through the shared model).
-	legacyMC, err := RunMonteCarlo(MonteCarloRequest{Samples: 50, Seed: 9})
+	// numbers of its spelled-out (fpga, asic) spec form.
+	legacyMC, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{Samples: 50, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if legacyMC.PlatformA != "" || legacyMC.PlatformB != "" {
 		t.Errorf("legacy mc must omit echoes: %+v", legacyMC)
 	}
-	specMC, err := RunMonteCarlo(MonteCarloRequest{Samples: 50, Seed: 9, Platforms: KindSpecs("fpga", "asic")})
+	specMC, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{Samples: 50, Seed: 9, Platforms: KindSpecs("fpga", "asic")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,13 +584,13 @@ func TestOrthogonalityMatrix(t *testing.T) {
 		{Platforms: KindSpecs("fpga"), Samples: 10},
 		{Workload: &WorkloadSpec{NApps: 3, Volume: 10}, Samples: 10},
 	} {
-		if _, err := RunMonteCarlo(bad); err == nil {
+		if _, err := testEval.RunMonteCarlo(context.Background(), bad); err == nil {
 			t.Errorf("mc request %+v must error", bad)
 		}
 	}
 
 	// Crossover between two catalog devices, echoing their names.
-	cx, err := RunCrossover(CrossoverRequest{
+	cx, err := testEval.RunCrossover(context.Background(), CrossoverRequest{
 		Platforms: []PlatformSpec{{Device: "IndustryFPGA1"}, {Device: "IndustryASIC1"}},
 	})
 	if err != nil {
@@ -611,7 +610,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 	}
 	// Flipping the operands asks where the ASIC beats the FPGA: from
 	// the first application.
-	flip, err := RunCrossover(CrossoverRequest{
+	flip, err := testEval.RunCrossover(context.Background(), CrossoverRequest{
 		Platforms: []PlatformSpec{{Device: "IndustryASIC1"}, {Device: "IndustryFPGA1"}},
 	})
 	if err != nil {
@@ -629,7 +628,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 			DutyCycle: 0.2, DesignEngineers: 300, DesignYears: 2,
 		}
 	}
-	tl, err := RunTimeline(TimelineRequest{
+	tl, err := testEval.RunTimeline(context.Background(), TimelineRequest{
 		Platforms: []PlatformSpec{
 			{Config: inline("custom-fpga", "fpga", 600, 3, 60e6)},
 			{Config: inline("custom-asic", "asic", 150, 1, 0)},
@@ -647,7 +646,7 @@ func TestOrthogonalityMatrix(t *testing.T) {
 	}
 
 	// Compare across catalog devices: domain-free, winner well-defined.
-	cmp, err := RunCompare(CompareRequest{
+	cmp, err := testEval.RunCompare(context.Background(), CompareRequest{
 		Platforms: []PlatformSpec{{Device: "IndustryFPGA1"}, {Device: "IndustryASIC1"}},
 		NApps:     3,
 	})
@@ -664,16 +663,16 @@ func TestOrthogonalityMatrix(t *testing.T) {
 func TestLegacySugarConflicts(t *testing.T) {
 	uniform := &WorkloadSpec{NApps: 2, LifetimeYears: 1, Volume: 10}
 	for name, err := range map[string]error{
-		"compare":   errOf(RunCompare(CompareRequest{NApps: 3, Workload: uniform})),
-		"crossover": errOf(RunCrossover(CrossoverRequest{Volume: 5, Workload: uniform})),
-		"crossover selectors": errOf(RunCrossover(CrossoverRequest{
+		"compare":   errOf(testEval.RunCompare(context.Background(), CompareRequest{NApps: 3, Workload: uniform})),
+		"crossover": errOf(testEval.RunCrossover(context.Background(), CrossoverRequest{Volume: 5, Workload: uniform})),
+		"crossover selectors": errOf(testEval.RunCrossover(context.Background(), CrossoverRequest{
 			PlatformA: "fpga", PlatformB: "gpu", Platforms: KindSpecs("fpga", "gpu"),
 		})),
-		"mc": errOf(RunMonteCarlo(MonteCarloRequest{NApps: 3, Workload: &WorkloadSpec{NApps: 2}})),
-		"timeline": errOf(RunTimeline(TimelineRequest{
+		"mc": errOf(testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{NApps: 3, Workload: &WorkloadSpec{NApps: 2}})),
+		"timeline": errOf(testEval.RunTimeline(context.Background(), TimelineRequest{
 			NApps: 3, Workload: &WorkloadSpec{NApps: 2},
 		})),
-		"sweep arm": errOf(RunSweep(SweepRequest{
+		"sweep arm": errOf(testEval.RunSweep(context.Background(), SweepRequest{
 			Workload: &WorkloadSpec{Apps: []AppConfig{{Name: "a", LifetimeYears: 1, Volume: 1}}},
 		})),
 	} {
@@ -715,11 +714,11 @@ func TestSpecStringForm(t *testing.T) {
 // lifetime sweep at a non-default application count differs from the
 // default, and the swept axis ignores its own workload field.
 func TestSweepWorkloadOffAxis(t *testing.T) {
-	base, err := RunSweep(SweepRequest{Axis: "lifetime", Points: 3})
+	base, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "lifetime", Points: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := RunSweep(SweepRequest{Axis: "lifetime", Points: 3, Workload: &WorkloadSpec{NApps: 9}})
+	heavy, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "lifetime", Points: 3, Workload: &WorkloadSpec{NApps: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,11 +726,11 @@ func TestSweepWorkloadOffAxis(t *testing.T) {
 		t.Errorf("nine applications must cost more than five: %g vs %g",
 			base.Points[0].FPGAKg, heavy.Points[0].FPGAKg)
 	}
-	onAxis, err := RunSweep(SweepRequest{Axis: "napps", To: 2, Workload: &WorkloadSpec{NApps: 99}})
+	onAxis, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "napps", To: 2, Workload: &WorkloadSpec{NApps: 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunSweep(SweepRequest{Axis: "napps", To: 2})
+	def, err := testEval.RunSweep(context.Background(), SweepRequest{Axis: "napps", To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +743,7 @@ func TestSweepWorkloadOffAxis(t *testing.T) {
 // only endpoint that resolves kinds without compiling must still run
 // every spec through Validate.
 func TestMCSpecValidation(t *testing.T) {
-	_, err := RunMonteCarlo(MonteCarloRequest{
+	_, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{
 		Samples: 10,
 		Platforms: []PlatformSpec{
 			{Kind: "gpu", Device: "IndustryASIC1"},

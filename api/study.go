@@ -5,15 +5,15 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 
-	"greenfpga/internal/montecarlo"
-	"greenfpga/internal/sweep"
-	"greenfpga/internal/units"
+	"greenfpga/internal/telemetry"
 )
 
-// This file decomposes the six compute request shapes into resumable
+// This file decomposes the compute endpoints' requests into resumable
 // studies: a fixed number of independently computable chunks plus a
 // finalizer that assembles chunk payloads into the exact bytes the
 // synchronous endpoint would have written. The jobs layer checkpoints
@@ -43,8 +43,6 @@ type Study struct {
 	// content address the server's result cache uses, which is what
 	// lets a finished job's bytes serve later synchronous requests.
 	Key string
-	// Req is the normalized request.
-	Req any
 
 	chunks   int
 	compute  func(ctx context.Context, i int) ([]byte, error)
@@ -71,131 +69,46 @@ func (s *Study) Finalize(ctx context.Context, chunks [][]byte) ([]byte, error) {
 	return s.finalize(ctx, chunks)
 }
 
-// CanonicalEndpoint maps an endpoint spelling ("mc", "/v1/mc") to its
-// canonical path, or errors for endpoints that cannot run as jobs.
-func CanonicalEndpoint(name string) (string, error) {
-	switch name {
-	case "evaluate", "/v1/evaluate":
-		return "/v1/evaluate", nil
-	case "compare", "/v1/compare":
-		return "/v1/compare", nil
-	case "crossover", "/v1/crossover":
-		return "/v1/crossover", nil
-	case "timeline", "/v1/timeline":
-		return "/v1/timeline", nil
-	case "sweep", "/v1/sweep":
-		return "/v1/sweep", nil
-	case "mc", "/v1/mc":
-		return "/v1/mc", nil
-	case "fleet", "/v1/fleet":
-		return "/v1/fleet", nil
-	default:
-		return "", &Error{Code: "invalid_request", Message: fmt.Sprintf(
-			"unknown job endpoint %q (evaluate, compare, crossover, timeline, sweep, mc, fleet)", name)}
-	}
-}
-
-// decodeStrict decodes raw with the same strictness the server applies
-// to request bodies: unknown fields and trailing data are errors.
-func decodeStrict(raw json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
+// DecodeStrict decodes one JSON document from r into dst the way every
+// request body is read — by the server and for job submissions alike:
+// unknown fields and trailing data are errors.
+func DecodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return &Error{Code: "invalid_request", Message: "bad job request: " + err.Error()}
+		return err
 	}
 	if dec.More() {
-		return &Error{Code: "invalid_request", Message: "bad job request: trailing data"}
+		return errors.New("trailing data")
 	}
 	return nil
 }
 
 // NewStudy decodes one compute request (the body the synchronous
 // endpoint would accept) and decomposes it into a resumable Study.
-// Validation and platform resolution happen here — a malformed request
-// fails at submission, not mid-job. ctx bounds the resolution work
-// only; each chunk runs under its own context.
+// Endpoints with a chunk plan validate and resolve here — a malformed
+// request fails at submission, not mid-job; the rest run whole as a
+// single chunk whose payload is already the final response bytes
+// (these evaluations are microseconds to milliseconds — nothing worth
+// checkpointing below whole-result granularity). ctx bounds the
+// resolution work only; each chunk runs under its own context.
 func (e *Evaluator) NewStudy(ctx context.Context, endpoint string, raw json.RawMessage) (*Study, error) {
-	canon, err := CanonicalEndpoint(endpoint)
+	ep, err := LookupEndpoint(endpoint)
 	if err != nil {
 		return nil, err
 	}
-	switch canon {
-	case "/v1/mc":
-		var req MonteCarloRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		return e.newMonteCarloStudy(ctx, req)
-	case "/v1/sweep":
-		var req SweepRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		return e.newSweepStudy(ctx, req)
-	case "/v1/fleet":
-		var req FleetRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		return e.newFleetStudy(ctx, req)
-	case "/v1/evaluate":
-		var req EvaluateRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		norm := req.Normalized()
-		return e.newSingleChunkStudy(canon, &norm, func(ctx context.Context) (any, error) {
-			return e.Evaluate(ctx, &norm)
-		})
-	case "/v1/compare":
-		var req CompareRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		norm := req.Normalized()
-		return e.newSingleChunkStudy(canon, norm, func(ctx context.Context) (any, error) {
-			return e.RunCompare(ctx, norm)
-		})
-	case "/v1/crossover":
-		var req CrossoverRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		norm := req.Normalized()
-		return e.newSingleChunkStudy(canon, norm, func(ctx context.Context) (any, error) {
-			return e.RunCrossover(ctx, norm)
-		})
-	case "/v1/timeline":
-		var req TimelineRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return nil, err
-		}
-		norm := req.Normalized()
-		return e.newSingleChunkStudy(canon, norm, func(ctx context.Context) (any, error) {
-			return e.RunTimeline(ctx, norm)
-		})
+	req := ep.NewRequest()
+	if err := DecodeStrict(bytes.NewReader(raw), req); err != nil {
+		return nil, &Error{Code: "invalid_request", Message: "bad job request: " + err.Error()}
 	}
-	panic("unreachable")
-}
-
-// newSingleChunkStudy wraps an endpoint without a natural chunk
-// decomposition as a one-chunk study whose payload is already the
-// final response bytes. These evaluations are microseconds to
-// milliseconds — there is nothing worth checkpointing below whole-
-// result granularity.
-func (e *Evaluator) newSingleChunkStudy(endpoint string, norm any,
-	run func(ctx context.Context) (any, error)) (*Study, error) {
-	key, err := CanonicalKey(endpoint, norm)
+	norm := ep.Normalized(req)
+	key, err := CanonicalKey(ep.Path, norm)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{
-		Endpoint: endpoint,
-		Key:      key,
-		Req:      norm,
-		chunks:   1,
+	s := &Study{Endpoint: ep.Path, Key: key, chunks: 1,
 		compute: func(ctx context.Context, _ int) ([]byte, error) {
-			v, err := run(ctx)
+			v, err := ep.Run(ctx, e, norm)
 			if err != nil {
 				return nil, err
 			}
@@ -204,173 +117,92 @@ func (e *Evaluator) newSingleChunkStudy(endpoint string, norm any,
 		finalize: func(_ context.Context, chunks [][]byte) ([]byte, error) {
 			return chunks[0], nil
 		},
-	}, nil
+	}
+	if ep.plan != nil {
+		if err := ep.plan(ctx, e, norm, s); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
-// chunkSpan is chunk i's index range under a fixed chunk size.
-func chunkSpan(i, size, total int) (lo, hi int) {
-	lo = i * size
-	hi = lo + size
-	if hi > total {
-		hi = total
-	}
-	return lo, hi
+// chunkPlan is a validated, resolved request split into items —
+// Monte-Carlo draws, sweep points, fleet regions — of width float64s
+// each, computed perChunk items at a time. RunMonteCarlo, RunSweep and
+// RunFleet run every chunk in-process (run); a Study runs the same
+// chunks across checkpoints (into). Draws are sub-seeded by index,
+// sweep points depend only on the axis and regions are independent, so
+// both paths produce bit-identical responses from the same code.
+type chunkPlan[R any] struct {
+	items, perChunk, width int
+	chunker[R]
 }
 
-// chunkCount is the chunk count covering total at the given size,
-// never below one (a zero-point study still needs a finalize pass).
-func chunkCount(total, size int) int {
-	n := (total + size - 1) / size
-	if n < 1 {
-		n = 1
-	}
-	return n
+// chunker evaluates a prepared study: compute turns items [lo, hi) into
+// (hi-lo)*width floats; assemble shapes every item's floats, in item
+// order, into the response.
+type chunker[R any] interface {
+	compute(ctx context.Context, lo, hi int) ([]float64, error)
+	assemble(ctx context.Context, flat []float64) (R, error)
 }
 
-// newMonteCarloStudy decomposes a Monte-Carlo request into draw-range
-// chunks. A chunk payload is its draws' model outputs in index order,
-// as raw little-endian float64s; Finalize concatenates them and runs
-// the same moment/percentile/tornado arithmetic as the synchronous
-// path, so the result is bit-identical.
-func (e *Evaluator) newMonteCarloStudy(ctx context.Context, req MonteCarloRequest) (*Study, error) {
-	m, err := e.prepareMonteCarlo(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	key, err := CanonicalKey("/v1/mc", m.req)
-	if err != nil {
-		return nil, err
-	}
-	samples := m.req.Samples
-	return &Study{
-		Endpoint: "/v1/mc",
-		Key:      key,
-		Req:      m.req,
-		chunks:   chunkCount(samples, mcChunkDraws),
-		compute: func(ctx context.Context, i int) ([]byte, error) {
-			lo, hi := chunkSpan(i, mcChunkDraws, samples)
-			out, err := montecarlo.RunRange(m.config(ctx), lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			return packFloats(out), nil
-		},
-		finalize: func(ctx context.Context, chunks [][]byte) ([]byte, error) {
-			all := make([]float64, 0, samples)
-			for i, c := range chunks {
-				lo, hi := chunkSpan(i, mcChunkDraws, samples)
-				vals, err := unpackFloats(c, hi-lo)
-				if err != nil {
-					return nil, fmt.Errorf("mc chunk %d: %w", i, err)
-				}
-				all = append(all, vals...)
-			}
-			res, err := montecarlo.Finalize(m.config(ctx), all)
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(m.assemble(res))
-		},
-	}, nil
+// chunks is the plan's chunk count, never below one (a zero-item study
+// still needs an assembly pass).
+func (p *chunkPlan[R]) chunks() int {
+	return max(1, (p.items+p.perChunk-1)/p.perChunk)
 }
 
-// newSweepStudy decomposes a sweep request into axis-range chunks. A
-// chunk payload holds (x, totals...) per point as raw little-endian
-// float64s; Finalize rebuilds the point list and runs the synchronous
-// path's assembly.
-func (e *Evaluator) newSweepStudy(ctx context.Context, req SweepRequest) (*Study, error) {
-	st, err := e.prepareSweep(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	key, err := CanonicalKey("/v1/sweep", st.req)
-	if err != nil {
-		return nil, err
-	}
-	points := len(st.ax.Values)
-	width := 1 + len(st.cs) // x + one total per platform
-	return &Study{
-		Endpoint: "/v1/sweep",
-		Key:      key,
-		Req:      st.req,
-		chunks:   chunkCount(points, sweepChunkPoints),
-		compute: func(ctx context.Context, i int) ([]byte, error) {
-			lo, hi := chunkSpan(i, sweepChunkPoints, points)
-			pts, err := sweep.RunRangeN(st.ax, len(st.cs), lo, hi, st.eval(ctx))
-			if err != nil {
-				return nil, err
-			}
-			flat := make([]float64, 0, len(pts)*width)
-			for _, p := range pts {
-				flat = append(flat, p.X)
-				for _, m := range p.Totals {
-					flat = append(flat, float64(m))
-				}
-			}
-			return packFloats(flat), nil
-		},
-		finalize: func(_ context.Context, chunks [][]byte) ([]byte, error) {
-			pts := make([]sweep.PointN, 0, points)
-			for i, c := range chunks {
-				lo, hi := chunkSpan(i, sweepChunkPoints, points)
-				flat, err := unpackFloats(c, (hi-lo)*width)
-				if err != nil {
-					return nil, fmt.Errorf("sweep chunk %d: %w", i, err)
-				}
-				for o := 0; o < len(flat); o += width {
-					p := sweep.PointN{X: flat[o], Totals: make([]units.Mass, len(st.cs))}
-					for j := range p.Totals {
-						p.Totals[j] = units.Mass(flat[o+1+j])
-					}
-					pts = append(pts, p)
-				}
-			}
-			return EncodeJSON(st.assemble(pts))
-		},
-	}, nil
+// span is chunk i's item range.
+func (p *chunkPlan[R]) span(i int) (lo, hi int) {
+	lo = i * p.perChunk
+	return lo, min(lo+p.perChunk, p.items)
 }
 
-// newFleetStudy decomposes a fleet request into one chunk per region:
-// a region's whole platform row — shared-scenario totals plus the
-// grid-aware crossover — is a natural checkpoint unit (regions are
-// independent, and a row is a handful of evaluations). A chunk payload
-// is the row's flat float vector packed little-endian; Finalize
-// rebuilds the rows and runs the synchronous path's assembly, so the
-// bytes match a /v1/fleet response exactly.
-func (e *Evaluator) newFleetStudy(ctx context.Context, req FleetRequest) (*Study, error) {
-	st, err := e.prepareFleet(ctx, req)
-	if err != nil {
-		return nil, err
+// run computes every chunk in order and assembles the response — the
+// synchronous path, timed as one compute stage.
+func (p *chunkPlan[R]) run(ctx context.Context) (R, error) {
+	defer telemetry.StartStage(ctx, "compute")()
+	var flat []float64
+	for i := range p.chunks() {
+		lo, hi := p.span(i)
+		vals, err := p.compute(ctx, lo, hi)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		flat = append(flat, vals...)
 	}
-	key, err := CanonicalKey("/v1/fleet", st.req)
-	if err != nil {
-		return nil, err
+	return p.assemble(ctx, flat)
+}
+
+// into makes s run the plan across checkpoints: a chunk's payload is
+// its floats packed little-endian; Finalize unpacks every payload,
+// rejecting any of the wrong size, and encodes the assembled response.
+func (p *chunkPlan[R]) into(name string, s *Study) {
+	s.chunks = p.chunks()
+	s.compute = func(ctx context.Context, i int) ([]byte, error) {
+		lo, hi := p.span(i)
+		vals, err := p.compute(ctx, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		return packFloats(vals), nil
 	}
-	width := st.width()
-	return &Study{
-		Endpoint: "/v1/fleet",
-		Key:      key,
-		Req:      st.req,
-		chunks:   len(st.regions),
-		compute: func(ctx context.Context, i int) ([]byte, error) {
-			vals, err := st.evalRegion(ctx, i)
-			if err != nil {
-				return nil, err
+	s.finalize = func(ctx context.Context, chunks [][]byte) ([]byte, error) {
+		var flat []float64
+		for i, c := range chunks {
+			lo, hi := p.span(i)
+			var err error
+			if flat, err = appendFloats(flat, c, (hi-lo)*p.width); err != nil {
+				return nil, fmt.Errorf("%s chunk %d: %w", name, i, err)
 			}
-			return packFloats(vals), nil
-		},
-		finalize: func(_ context.Context, chunks [][]byte) ([]byte, error) {
-			rows := make([][]float64, len(chunks))
-			for i, c := range chunks {
-				vals, err := unpackFloats(c, width)
-				if err != nil {
-					return nil, fmt.Errorf("fleet chunk %d: %w", i, err)
-				}
-				rows[i] = vals
-			}
-			return EncodeJSON(st.assemble(rows))
-		},
-	}, nil
+		}
+		v, err := p.assemble(ctx, flat)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeJSON(v)
+	}
 }
 
 // packFloats encodes vals as little-endian IEEE-754 bits — an exact
@@ -383,15 +215,14 @@ func packFloats(vals []float64) []byte {
 	return out
 }
 
-// unpackFloats decodes exactly want float64s, erroring on any size
-// mismatch (a corrupt or mismatched checkpoint payload).
-func unpackFloats(b []byte, want int) ([]float64, error) {
+// appendFloats decodes exactly want float64s from b onto dst, erroring
+// on any size mismatch (a corrupt or mismatched checkpoint payload).
+func appendFloats(dst []float64, b []byte, want int) ([]float64, error) {
 	if len(b) != 8*want {
 		return nil, fmt.Errorf("payload is %d bytes, want %d", len(b), 8*want)
 	}
-	out := make([]float64, want)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	for i := range want {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
 	}
-	return out, nil
+	return dst, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -28,91 +29,63 @@ func runStudy(t *testing.T, s *Study) []byte {
 }
 
 // TestStudyBytesMatchSync is the acceptance contract: for every
-// endpoint, a chunked study's finalized bytes are identical to the
-// synchronous endpoint's canonical encoding of the same request — the
+// endpoint of the table, a study's finalized bytes — chunks computed
+// out of order and round-tripped through their checkpoint payloads —
+// are identical to the synchronous endpoint's canonical encoding of
+// the same request, and its key is the synchronous cache key: the
 // property that lets a job result serve later synchronous requests
 // from the durable tier.
 func TestStudyBytesMatchSync(t *testing.T) {
-	e := NewEvaluator(8)
 	ctx := context.Background()
-	cases := []struct {
-		endpoint string
-		raw      string
-		sync     func() ([]byte, error)
-	}{
-		{"mc", `{"domain": "DNN", "samples": 9000, "seed": 7}`, func() ([]byte, error) {
-			var req MonteCarloRequest
-			if err := json.Unmarshal([]byte(`{"domain": "DNN", "samples": 9000, "seed": 7}`), &req); err != nil {
-				return nil, err
+	forEachEndpoint(t, func(t *testing.T, ep *Endpoint, body string) {
+		s, err := testEval.NewStudy(ctx, ep.Name, json.RawMessage(body))
+		if err != nil {
+			t.Fatalf("NewStudy: %v", err)
+		}
+		want, err := syncBytes(ctx, ep, body)
+		if err != nil {
+			t.Fatalf("sync run: %v", err)
+		}
+		if got := runStudy(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("study bytes differ from sync endpoint:\nstudy: %.200s\nsync:  %.200s", got, want)
+		}
+		req := ep.NewRequest()
+		if err := json.Unmarshal([]byte(body), req); err != nil {
+			t.Fatal(err)
+		}
+		if key, err := CanonicalKey(ep.Path, ep.Normalized(req)); err != nil || s.Key != key {
+			t.Errorf("study key %q != sync cache key %q (%v)", s.Key, key, err)
+		}
+		if ep.plan != nil && s.NumChunks() < 2 {
+			t.Errorf("chunked endpoint's representative body runs as %d chunk(s); it must exercise reassembly", s.NumChunks())
+		}
+	})
+}
+
+// TestStudyFinalizeRejectsCorruptChunks checks every chunked endpoint
+// refuses a checkpoint payload of the wrong size instead of assembling
+// garbage (or panicking).
+func TestStudyFinalizeRejectsCorruptChunks(t *testing.T) {
+	ctx := context.Background()
+	forEachEndpoint(t, func(t *testing.T, ep *Endpoint, body string) {
+		if ep.plan == nil {
+			t.Skip("single-chunk endpoint: its payload is the response itself")
+		}
+		s, err := testEval.NewStudy(ctx, ep.Path, json.RawMessage(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := make([][]byte, s.NumChunks())
+		for i := range chunks {
+			if chunks[i], err = s.ComputeChunk(ctx, i); err != nil {
+				t.Fatal(err)
 			}
-			v, err := e.RunMonteCarlo(ctx, req.Normalized())
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(v)
-		}},
-		{"sweep", `{"domain": "DNN", "axis": "lifetime", "from": 1, "to": 10, "points": 3000}`, func() ([]byte, error) {
-			var req SweepRequest
-			if err := json.Unmarshal([]byte(`{"domain": "DNN", "axis": "lifetime", "from": 1, "to": 10, "points": 3000}`), &req); err != nil {
-				return nil, err
-			}
-			v, err := e.RunSweep(ctx, req.Normalized())
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(v)
-		}},
-		{"evaluate", `{"platforms": [{"domain": "DNN", "kind": "fpga"}], "workload": {"napps": 5, "lifetime_years": 2, "volume": 1e6}}`, func() ([]byte, error) {
-			var req EvaluateRequest
-			if err := json.Unmarshal([]byte(`{"platforms": [{"domain": "DNN", "kind": "fpga"}], "workload": {"napps": 5, "lifetime_years": 2, "volume": 1e6}}`), &req); err != nil {
-				return nil, err
-			}
-			norm := req.Normalized()
-			v, err := e.Evaluate(ctx, &norm)
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(v)
-		}},
-		{"compare", `{"domain": "Crypto"}`, func() ([]byte, error) {
-			var req CompareRequest
-			if err := json.Unmarshal([]byte(`{"domain": "Crypto"}`), &req); err != nil {
-				return nil, err
-			}
-			v, err := e.RunCompare(ctx, req.Normalized())
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(v)
-		}},
-		{"crossover", `{"domain": "DNN", "lifetime_years": 2}`, func() ([]byte, error) {
-			var req CrossoverRequest
-			if err := json.Unmarshal([]byte(`{"domain": "DNN", "lifetime_years": 2}`), &req); err != nil {
-				return nil, err
-			}
-			v, err := e.RunCrossover(ctx, req.Normalized())
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJSON(v)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.endpoint, func(t *testing.T) {
-			s, err := e.NewStudy(ctx, tc.endpoint, json.RawMessage(tc.raw))
-			if err != nil {
-				t.Fatalf("NewStudy: %v", err)
-			}
-			want, err := tc.sync()
-			if err != nil {
-				t.Fatalf("sync run: %v", err)
-			}
-			got := runStudy(t, s)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("study bytes differ from sync endpoint:\nstudy: %.200s\nsync:  %.200s", got, want)
-			}
-		})
-	}
+		}
+		chunks[1] = chunks[1][:len(chunks[1])-8]
+		if _, err := s.Finalize(ctx, chunks); err == nil || !strings.Contains(err.Error(), ep.Name+" chunk 1") {
+			t.Errorf("truncated chunk: err = %v, want a %q chunk 1 error", err, ep.Name)
+		}
+	})
 }
 
 // TestStudyChunking pins the decomposition: a 9000-draw MC study at

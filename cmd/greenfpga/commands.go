@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -171,7 +172,7 @@ func cmdFleet(args []string) error {
 		}
 	}
 	req = req.Normalized()
-	resp, err := api.RunFleet(req)
+	resp, err := evaluator.RunFleet(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -243,7 +244,7 @@ func cmdCrossover(args []string) error {
 	req := api.CrossoverRequest{
 		Domain: *domain, LifetimeYears: *lifetime, NApps: *napps, Volume: *volume,
 	}.Normalized()
-	resp, err := api.RunCrossover(req)
+	resp, err := evaluator.RunCrossover(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -312,7 +313,7 @@ func cmdSweep(args []string) error {
 	}
 	req.Platforms = specs
 	req = req.Normalized()
-	resp, err := api.RunSweep(req)
+	resp, err := evaluator.RunSweep(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -401,7 +402,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := api.Evaluate(&api.EvaluateRequest{Scenario: cfg})
+	resp, err := evaluator.Evaluate(context.Background(), &api.EvaluateRequest{Scenario: cfg})
 	if err != nil {
 		return err
 	}
@@ -450,8 +451,8 @@ func cmdRun(args []string) error {
 }
 
 // cmdMC runs the Table 1 uncertainty study for a domain pair ratio
-// through the shared api compute path (greenfpga.DomainRatioStudy),
-// so its numbers match /v1/mc exactly.
+// through the shared api compute path, so its numbers match /v1/mc
+// exactly.
 func cmdMC(args []string) error {
 	fs := flag.NewFlagSet("mc", flag.ContinueOnError)
 	domain := fs.String("domain", "DNN", "iso-performance domain")
@@ -471,7 +472,7 @@ func cmdMC(args []string) error {
 		return err
 	}
 	req.Platforms = specs
-	resp, err := api.RunMonteCarlo(req)
+	resp, err := evaluator.RunMonteCarlo(context.Background(), req)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -256,7 +257,7 @@ func runSetCompare(domain, platforms string, napps int, lifetime, volume float64
 	}
 	req.Platforms = specs
 	req = req.Normalized()
-	resp, err := api.RunCompare(req)
+	resp, err := evaluator.RunCompare(context.Background(), req)
 	if err != nil {
 		return err
 	}

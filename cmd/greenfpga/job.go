@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"greenfpga/api"
@@ -36,20 +37,20 @@ func cmdJob(args []string) error {
 	case "cancel":
 		return cmdJobCancel(rest)
 	case "help", "-h", "--help":
-		fmt.Println(`usage: greenfpga job <subcommand> [flags]
+		fmt.Printf(`usage: greenfpga job <subcommand> [flags]
 
 subcommands:
   submit -base <url> -endpoint <name> [-request <json>|-request-file <f>] [-wait]
                                   submit a compute request as an async job;
-                                  endpoints: evaluate, compare, crossover,
-                                  timeline, sweep, mc
+                                  endpoints: %s
   list   -base <url>              list the service's jobs, newest first
   status -base <url> -id <id>     poll one job's state and chunk progress
   result -base <url> -id <id>     print a done job's response document
   cancel -base <url> -id <id>     cancel a job and remove its record
 
 The service must run with -store: jobs checkpoint into the durable
-store and resume across restarts.`)
+store and resume across restarts.
+`, strings.Join(api.EndpointNames(), ", "))
 		return nil
 	default:
 		return usagef("job: unknown subcommand %q (submit, list, status, result, cancel)", sub)

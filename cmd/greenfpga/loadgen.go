@@ -209,7 +209,7 @@ func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	base := fs.String("base", "", "service base URL (required; e.g. http://127.0.0.1:8080)")
 	endpoints := fs.String("endpoints", "evaluate",
-		"weighted endpoint mix, comma-separated name[:weight] (healthz, devices, evaluate, compare, crossover, sweep, timeline, mc)")
+		"weighted endpoint mix, comma-separated name[:weight] (healthz, devices, "+strings.Join(api.EndpointNames(), ", ")+")")
 	begin := fs.Int("begin", 1, "first rung's concurrent workers")
 	step := fs.Int("step", 0, "workers added per rung (default: begin)")
 	maxC := fs.Int("max", 8, "last rung's concurrent workers")

@@ -33,7 +33,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"greenfpga/api"
 )
+
+// evaluator runs every compute command (under context.Background()) —
+// the methods the service runs per request, so -json output matches it.
+var evaluator = api.NewEvaluator(64)
 
 // commands dispatches subcommand names to implementations.
 var commands = map[string]func(args []string) error{

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -10,9 +11,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"greenfpga/api"
 	"greenfpga/internal/config"
+	"greenfpga/internal/server"
 )
 
 // captureStdout runs f with os.Stdout redirected to a buffer.
@@ -172,7 +175,7 @@ func TestCmdCompareJSONMatchesAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := api.RunCompare(api.CompareRequest{Domain: "DNN", NApps: 4}.Normalized())
+	want, err := api.NewEvaluator(4).RunCompare(context.Background(), api.CompareRequest{Domain: "DNN", NApps: 4}.Normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +284,7 @@ func TestCmdSweepPlatforms(t *testing.T) {
 	}
 	req := api.SweepRequest{Domain: "DNN", Axis: "napps", To: 3,
 		Platforms: api.PlatformSpecs([]string{"gpu", "cpu"})}.Normalized()
-	want, err := api.RunSweep(req)
+	want, err := api.NewEvaluator(4).RunSweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +345,7 @@ func TestCmdMCPlatforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := api.RunMonteCarlo(api.MonteCarloRequest{
+	want, err := api.NewEvaluator(4).RunMonteCarlo(context.Background(), api.MonteCarloRequest{
 		Domain: "DNN", Samples: 50, Seed: 3, NApps: 5,
 		Platforms: api.PlatformSpecs([]string{"gpu", "asic"}),
 	})
@@ -412,7 +415,7 @@ func TestCmdTimelineJSONMatchesAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := api.RunTimeline(api.TimelineRequest{
+	want, err := api.NewEvaluator(4).RunTimeline(context.Background(), api.TimelineRequest{
 		NApps: 4, IntervalYears: 1, ChipLifetimeYears: 8,
 	}.Normalized())
 	if err != nil {
@@ -545,6 +548,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"runtime failure", []string{"crossover", "-domain", "Quantum"}, 1, "unknown domain"},
 		{"subcommand help", []string{"crossover", "-h"}, 0, "Usage of crossover"},
 		{"top-level help flag", []string{"--help"}, 0, ""},
+		{"endpoint-timeouts typo", []string{"serve", "-addr", "127.0.0.1:0", "-endpoint-timeouts", "/v1/mc=1m,/v1/mcc=2m"},
+			2, "/v1/mcc is not a route with a deadline (valid: /v1/evaluate, /v1/compare"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -570,6 +575,30 @@ func TestRunExitCodes(t *testing.T) {
 	stderr := captureStderr(t, func() { run([]string{"sweep", "-bogus"}) })
 	if strings.Contains(stderr, "greenfpga: flag provided") {
 		t.Errorf("flag error printed twice:\n%s", stderr)
+	}
+}
+
+// TestEndpointListsFollowTable checks the CLI's endpoint lists — job
+// help, the loadgen mix — cover every compute endpoint of the api
+// table, and that -endpoint-timeouts accepts each deadline route.
+func TestEndpointListsFollowTable(t *testing.T) {
+	help, err := captureStdout(t, func() error { return cmdJob([]string{"help"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := lgCalls()
+	for _, name := range api.EndpointNames() {
+		if !strings.Contains(help, name) {
+			t.Errorf("job help does not list %s:\n%s", name, help)
+		}
+		if _, ok := calls[name]; !ok {
+			t.Errorf("loadgen has no request for endpoint %s", name)
+		}
+	}
+	for _, route := range server.DeadlineRoutes() {
+		if got, err := parseEndpointTimeouts(route + "=90s"); err != nil || got[route] != 90*time.Second {
+			t.Errorf("parseEndpointTimeouts(%s=90s) = %v, %v", route, got, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -152,16 +153,22 @@ func cmdServe(args []string) error {
 }
 
 // parseEndpointTimeouts parses the -endpoint-timeouts value: a
-// comma-separated list of path=duration overrides.
+// comma-separated list of path=duration overrides, each naming a route
+// that carries a deadline (a typo would otherwise be silently ignored).
 func parseEndpointTimeouts(s string) (map[string]time.Duration, error) {
 	if s == "" {
 		return nil, nil
 	}
+	routes := server.DeadlineRoutes()
 	out := make(map[string]time.Duration)
 	for _, part := range strings.Split(s, ",") {
 		path, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || path == "" {
 			return nil, fmt.Errorf("entry %q is not path=duration", part)
+		}
+		if !slices.Contains(routes, path) {
+			return nil, fmt.Errorf("entry %q: %s is not a route with a deadline (valid: %s)",
+				part, path, strings.Join(routes, ", "))
 		}
 		d, err := time.ParseDuration(val)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,7 @@ func cmdTimeline(args []string) error {
 	}
 	req.Platforms = specs
 	req = req.Normalized()
-	resp, err := api.RunTimeline(req)
+	resp, err := evaluator.RunTimeline(context.Background(), req)
 	if err != nil {
 		return err
 	}

@@ -289,45 +289,22 @@ func RenderExperiment(id string, w io.Writer) error {
 // concurrent use — with results identical across worker counts.
 func RunMonteCarlo(cfg MCConfig) (MCResult, error) { return montecarlo.Run(cfg) }
 
-// DomainRatioStudy propagates the paper's Table 1 parameter ranges
-// through a domain pair's FPGA:ASIC CFP ratio: duty cycle, design
-// staffing, app-development effort, recycled sourcing, EOL recycling
-// and application lifetime are drawn per sample, everything else is
-// held at the domain's calibration. Shared by `greenfpga mc`, the
-// /v1/mc service endpoint and the uncertainty example.
-func DomainRatioStudy(d Domain, nApps, samples int, seed int64) (MCResult, error) {
-	return DomainRatioStudyBetween(d, FPGA, ASIC, nApps, samples, seed)
-}
-
-// DomainRatioStudyBetween generalizes DomainRatioStudy to any two
-// platform kinds of the domain's iso-performance set: the study's
-// output is kindA's total over kindB's per draw. The Table 1 draws
-// perturb the shared calibration (duty cycle, design staffing,
-// recycled sourcing, EOL recycling, application lifetime); the
-// reconfiguration-flow draws (t_fe/t_be) apply to FPGA-kind members,
-// whose app-development is the paper's hardware flow — GPU/CPU
-// members keep their software-port profiles. DomainRatioStudy is
-// exactly the (FPGA, ASIC) instance.
-func DomainRatioStudyBetween(d Domain, kindA, kindB DeviceKind, nApps, samples int, seed int64) (MCResult, error) {
-	return DomainRatioStudyBetweenCtx(context.Background(), d, kindA, kindB, nApps, samples, seed)
-}
-
-// DomainRatioStudyBetweenCtx is DomainRatioStudyBetween under a
-// context: every Monte-Carlo worker checks ctx before its draw, so a
-// cancelled study (a served request past its deadline, an interrupted
-// CLI run) stops evaluating instead of grinding through the remaining
-// samples. The draws consumed before cancellation are identical to an
-// uncancelled run's.
-func DomainRatioStudyBetweenCtx(ctx context.Context, d Domain, kindA, kindB DeviceKind, nApps, samples int, seed int64) (MCResult, error) {
-	return RunMonteCarlo(DomainRatioStudyConfig(ctx, d, kindA, kindB, nApps, samples, seed))
-}
-
 // DomainRatioStudyConfig builds the Monte-Carlo configuration that
-// DomainRatioStudyBetweenCtx runs, without running it. Callers that
-// need more than a one-shot study — chunked evaluation through
-// montecarlo.RunRange/Finalize, as the async jobs layer does to
-// checkpoint and resume — get the exact same parameter set and model
-// closure, so their draws are bit-identical to the synchronous path's.
+// propagates the paper's Table 1 parameter ranges through the CFP
+// ratio of two platform kinds of a domain's iso-performance set: the
+// study's output is kindA's total over kindB's per draw. The draws
+// perturb the shared calibration — duty cycle, design staffing,
+// recycled sourcing, EOL recycling and application lifetime —
+// everything else is held at the domain's calibration; the
+// reconfiguration-flow draws (t_fe/t_be) apply to FPGA-kind members,
+// whose app-development is the paper's hardware flow, while GPU/CPU
+// members keep their software-port profiles. The (FPGA, ASIC) instance
+// is the paper's FPGA:ASIC study. Every worker checks ctx before its
+// draw, so a cancelled study stops evaluating; the draws consumed
+// before cancellation are identical to an uncancelled run's. Run it
+// whole with RunMonteCarlo, or in draw ranges through
+// montecarlo.RunRange/Finalize as api.Evaluator.RunMonteCarlo and
+// /v1/mc jobs do — the draws are bit-identical either way.
 func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKind, nApps, samples int, seed int64) MCConfig {
 	clampHi := d.DutyCycle * 1.5
 	if clampHi > 1 {

@@ -2,11 +2,13 @@ package greenfpga_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"greenfpga"
+	"greenfpga/internal/montecarlo"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -206,43 +208,55 @@ func TestFacadeScenarioConfig(t *testing.T) {
 }
 
 // TestDomainRatioStudyBetween pins the generalized uncertainty study:
-// the (FPGA, ASIC) instance IS DomainRatioStudy sample for sample, a
-// GPU-vs-FPGA study runs on the same calibration, and unknown kinds
-// error instead of panicking.
+// the (FPGA, ASIC) study run whole IS the same study run in draw
+// ranges and finalized (the chunked path /v1/mc and its jobs take)
+// sample for sample, a GPU-vs-FPGA study runs on the same calibration,
+// and unknown kinds error instead of panicking.
 func TestDomainRatioStudyBetween(t *testing.T) {
 	d, err := greenfpga.DomainByName("DNN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := greenfpga.DomainRatioStudy(d, 5, 80, 11)
+	cfg := greenfpga.DomainRatioStudyConfig(context.Background(), d, greenfpga.FPGA, greenfpga.ASIC, 5, 80, 11)
+	whole, err := greenfpga.RunMonteCarlo(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	between, err := greenfpga.DomainRatioStudyBetween(d, greenfpga.FPGA, greenfpga.ASIC, 5, 80, 11)
+	lo, err := montecarlo.RunRange(cfg, 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Samples) != len(between.Samples) {
-		t.Fatalf("sample counts differ: %d vs %d", len(legacy.Samples), len(between.Samples))
+	hi, err := montecarlo.RunRange(cfg, 30, 80)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range legacy.Samples {
-		if legacy.Samples[i] != between.Samples[i] {
-			t.Fatalf("sample %d differs: %v vs %v", i, legacy.Samples[i], between.Samples[i])
+	chunked, err := montecarlo.Finalize(cfg, append(lo, hi...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.Samples) != len(chunked.Samples) {
+		t.Fatalf("sample counts differ: %d vs %d", len(whole.Samples), len(chunked.Samples))
+	}
+	for i := range whole.Samples {
+		if whole.Samples[i] != chunked.Samples[i] {
+			t.Fatalf("sample %d differs: %v vs %v", i, whole.Samples[i], chunked.Samples[i])
 		}
 	}
-	if legacy.Mean != between.Mean || legacy.StdDev != between.StdDev {
+	if whole.Mean != chunked.Mean || whole.StdDev != chunked.StdDev {
 		t.Errorf("summary stats differ: %v/%v vs %v/%v",
-			legacy.Mean, legacy.StdDev, between.Mean, between.StdDev)
+			whole.Mean, whole.StdDev, chunked.Mean, chunked.StdDev)
 	}
 
-	gpu, err := greenfpga.DomainRatioStudyBetween(d, greenfpga.GPU, greenfpga.FPGA, 5, 80, 11)
+	gpu, err := greenfpga.RunMonteCarlo(greenfpga.DomainRatioStudyConfig(
+		context.Background(), d, greenfpga.GPU, greenfpga.FPGA, 5, 80, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gpu.Mean <= 0 || len(gpu.Tornado) == 0 {
 		t.Errorf("gpu study: %+v", gpu)
 	}
-	if _, err := greenfpga.DomainRatioStudyBetween(d, greenfpga.DeviceKind("npu"), greenfpga.ASIC, 5, 10, 1); err == nil {
+	if _, err := greenfpga.RunMonteCarlo(greenfpga.DomainRatioStudyConfig(
+		context.Background(), d, greenfpga.DeviceKind("npu"), greenfpga.ASIC, 5, 10, 1)); err == nil {
 		t.Error("unknown kind must error")
 	}
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // computeBodies is one representative request per compute endpoint —
-// the byte-identity matrix the hot path must hold for.
+// the byte-identity matrix the hot path must hold for. Every entry of
+// the api endpoint table must have one.
 func computeBodies(t *testing.T) map[string]string {
 	t.Helper()
 	bodies := make(map[string]string)
@@ -24,12 +25,18 @@ func computeBodies(t *testing.T) map[string]string {
 		"/v1/crossover": api.CrossoverRequest{Domain: "DNN"},
 		"/v1/sweep":     api.SweepRequest{Domain: "DNN", Axis: "napps"},
 		"/v1/mc":        api.MonteCarloRequest{Domain: "DNN", Samples: 200, Seed: 7},
+		"/v1/fleet":     api.FleetRequest{Domain: "DNN"},
 	} {
 		var buf bytes.Buffer
 		if err := api.WriteJSON(&buf, v); err != nil {
 			t.Fatal(err)
 		}
 		bodies[path] = buf.String()
+	}
+	for _, ep := range api.Endpoints {
+		if _, ok := bodies[ep.Path]; !ok {
+			t.Fatalf("endpoint %s has no representative body in computeBodies", ep.Path)
+		}
 	}
 	return bodies
 }

@@ -110,7 +110,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		h.Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write(body)
 	case "ndjson":
-		if rec.Endpoint != "/v1/sweep" {
+		// The lookup cannot fail: the endpoint table registers sweep.
+		if sweep, _ := api.CanonicalEndpoint("sweep"); rec.Endpoint != sweep {
 			s.writeError(w, &api.Error{Code: "invalid_request",
 				Message: "ndjson framing is only available for sweep results"})
 			return

@@ -110,6 +110,31 @@ func TestJobResultMatchesSyncEndpoint(t *testing.T) {
 	}
 }
 
+// TestEveryEndpointRoutedAndJobbable walks the api endpoint table: each
+// entry answers its synchronous route (so server.New registered it)
+// and, submitted by name to POST /v1/jobs, finishes with a result
+// byte-identical to that synchronous answer.
+func TestEveryEndpointRoutedAndJobbable(t *testing.T) {
+	_, base := newJobServer(t, t.TempDir())
+	bodies := computeBodies(t)
+	for _, ep := range api.Endpoints {
+		t.Run(ep.Name, func(t *testing.T) {
+			code, _, want := postRaw(t, base+ep.Path, bodies[ep.Path])
+			if code != http.StatusOK {
+				t.Fatalf("POST %s: %d %s", ep.Path, code, want)
+			}
+			st := waitJob(t, base, submitJob(t, base, ep.Name, bodies[ep.Path]).ID)
+			if st.State != "done" || st.Endpoint != ep.Path {
+				t.Fatalf("job: %+v", st)
+			}
+			code, _, got := get(t, base+"/v1/jobs/"+st.ID+"/result")
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("job result (%d) differs from the sync answer:\n%.200s\nvs\n%.200s", code, got, want)
+			}
+		})
+	}
+}
+
 // TestStoreTierSurvivesRestart computes synchronously on one server,
 // then serves the same request from a second server over the same
 // store — the persistent result tier.

@@ -28,7 +28,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,10 +53,6 @@ const maxBody = 1 << 20
 
 // maxBatch bounds the items of one batch evaluate.
 const maxBatch = 1024
-
-// maxCachedSweepPoints bounds the sweep responses admitted to the
-// result cache; larger ones are served but recomputed per request.
-const maxCachedSweepPoints = 10_000
 
 // Options configures a Server. Zero values take defaults.
 type Options struct {
@@ -146,6 +141,17 @@ func (o Options) timeoutFor(endpoint string) time.Duration {
 	return o.RequestTimeout
 }
 
+// DeadlineRoutes lists the routes that carry a request deadline — the
+// paths Options.EndpointTimeouts can override: every compute endpoint
+// of the api table, the batch evaluate and the experiment artifacts.
+func DeadlineRoutes() []string {
+	routes := make([]string, 0, len(api.Endpoints)+2)
+	for _, ep := range api.Endpoints {
+		routes = append(routes, ep.Path)
+	}
+	return append(routes, "/v1/evaluate/batch", "/v1/experiments/{id}")
+}
+
 // Server is the GreenFPGA evaluation service.
 type Server struct {
 	opts    Options
@@ -210,7 +216,9 @@ func New(opts Options) (*Server, error) {
 	s.route("GET /v1/regions", "/v1/regions", false, false, s.handleRegions)
 	s.route("GET /v1/experiments", "/v1/experiments", false, false, s.handleExperimentList)
 	s.route("GET /v1/experiments/{id}", "/v1/experiments/{id}", true, true, s.handleExperiment)
-	s.route("POST /v1/evaluate", "/v1/evaluate", true, true, s.handleEvaluate)
+	for _, ep := range api.Endpoints {
+		s.route("POST "+ep.Path, ep.Path, true, true, s.handleCompute(ep))
+	}
 	// The batch endpoint is not limited as a whole: it charges the
 	// limiter per item inside the fan-out, so -max-concurrent bounds
 	// actual concurrent evaluations across every request shape (a
@@ -218,12 +226,6 @@ func New(opts Options) (*Server, error) {
 	// against per-item slots). It still gets the compute stack — one
 	// deadline over the whole batch, panic recovery, fault wrap.
 	s.route("POST /v1/evaluate/batch", "/v1/evaluate/batch", false, true, s.handleBatch)
-	s.route("POST /v1/compare", "/v1/compare", true, true, s.handleCompare)
-	s.route("POST /v1/timeline", "/v1/timeline", true, true, s.handleTimeline)
-	s.route("POST /v1/crossover", "/v1/crossover", true, true, s.handleCrossover)
-	s.route("POST /v1/sweep", "/v1/sweep", true, true, s.handleSweep)
-	s.route("POST /v1/mc", "/v1/mc", true, true, s.handleMonteCarlo)
-	s.route("POST /v1/fleet", "/v1/fleet", true, true, s.handleFleet)
 	if opts.Store != nil {
 		s.store = opts.Store
 		mgr, err := jobs.New(jobs.Options{
@@ -493,23 +495,17 @@ func (s *Server) writeError(w http.ResponseWriter, e *api.Error) {
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	defer telemetry.StartStage(r.Context(), "decode")()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, &api.Error{Code: "invalid_request",
-				Message: "request body exceeds the 1 MiB limit"})
-			return false
-		}
-		s.writeError(w, &api.Error{Code: "invalid_request", Message: "bad request body: " + err.Error()})
-		return false
+	err := api.DecodeStrict(r.Body, dst)
+	if err == nil {
+		return true
 	}
-	if dec.More() {
-		s.writeError(w, &api.Error{Code: "invalid_request", Message: "bad request body: trailing data"})
-		return false
+	msg := "bad request body: " + err.Error()
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		msg = "request body exceeds the 1 MiB limit"
 	}
-	return true
+	s.writeError(w, &api.Error{Code: "invalid_request", Message: msg})
+	return false
 }
 
 // deadFlight reports a flight result that died with its leader — a
@@ -520,27 +516,6 @@ func deadFlight(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, resilience.ErrLeaderPanic)
-}
-
-// computeCoalesced runs compute through the singleflight group: the
-// first caller of a key evaluates while everyone who arrives during
-// the flight shares the result (shared=true, counted as coalesced).
-// A flight that died with its leader — the leader's deadline fired,
-// its client hung up, its handler panicked — proves nothing about the
-// request, so a follower whose own context is still live starts a
-// fresh flight instead of inheriting the corpse.
-func (s *Server) computeCoalesced(ctx context.Context, key string,
-	compute func() (any, error)) (v any, err error, shared bool) {
-	for {
-		v, err, shared = s.flight.Do(key, compute)
-		if shared && err != nil && deadFlight(err) && ctx.Err() == nil {
-			continue
-		}
-		if shared {
-			s.m.coalesced.Add(1)
-		}
-		return v, err, shared
-	}
 }
 
 // cachedResponse is what the result cache retains: the response
@@ -567,76 +542,96 @@ func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, state strin
 	_, _ = w.Write(cr.body)
 }
 
-// encodeResponse marshals a computed envelope into its cachedResponse
-// form, timing the encode stage on the computing request's trace.
-func encodeResponse(ctx context.Context, v any) (*cachedResponse, error) {
-	stop := telemetry.StartStage(ctx, "encode")
-	body, err := api.EncodeJSON(v)
-	stop()
-	if err != nil {
-		return nil, err
+// handleCompute serves one compute endpoint of the api table: strict
+// decode into the endpoint's typed request and normalization — keying
+// on the normalized request makes a legacy body and its spec spelling
+// one cache entry — then the cached, coalesced compute path.
+func (s *Server) handleCompute(ep *api.Endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := ep.NewRequest()
+		if !s.decodeJSON(w, r, req) {
+			return
+		}
+		cr, state, err := s.cached(r.Context(), ep, ep.Normalized(req), true)
+		if err != nil {
+			s.writeError(w, api.ToError(err))
+			return
+		}
+		s.writeCached(w, r, state, cr)
 	}
-	return &cachedResponse{body: body, val: v}, nil
 }
 
-// serveCached answers from the content-addressed result cache, or
-// computes, caches and answers; concurrent identical misses coalesce
-// onto one evaluation through the singleflight group, with the
-// followers marked X-Cache: coalesced. req must already be normalized
-// — it is the content being addressed. A non-nil cacheIf gates
-// admission (for responses too large to be worth pinning).
+// cached answers a normalized request — the content being addressed —
+// from the content-addressed result cache ("hit"), or computes, encodes
+// (timing the encode stage on the computing request's trace) and
+// caches it ("miss"). Concurrent identical misses coalesce onto one
+// evaluation through the singleflight group ("coalesced"). The
+// endpoint's Admit rule gates admission (for responses too large to be
+// worth pinning). With durable set, the store tier sits under the LRU
+// ("store" hits, and admitted misses persist there).
 //
 // The cache stores encoded bytes, not decoded values: a hit (and a
 // coalesced follower — the flight's result is the leader's encoded
 // envelope) is a single Write that never touches encoding/json.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, req any,
-	compute func(ctx context.Context) (any, error), cacheIf func(any) bool) {
-	key, err := api.CanonicalKey(endpoint, req)
+func (s *Server) cached(ctx context.Context, ep *api.Endpoint, norm any, durable bool) (*cachedResponse, string, error) {
+	key, err := api.CanonicalKey(ep.Path, norm)
 	if err != nil {
-		s.writeError(w, &api.Error{Code: "internal", Message: err.Error()})
-		return
+		return nil, "", &api.Error{Code: "internal", Message: err.Error()}
 	}
 	if v, ok := s.results.Get(key); ok {
-		s.writeCached(w, r, "hit", v.(*cachedResponse))
-		return
+		return v.(*cachedResponse), "hit", nil
 	}
-	// The durable tier sits under the LRU: a result computed before a
-	// restart — or finished by an asynchronous job — serves without
-	// recomputing. It answers bytes only (the decoded value is gone
-	// with the old process), so it must not enter the LRU, whose batch
-	// consumers type-assert the decoded value.
-	if s.store != nil {
+	durable = durable && s.store != nil
+	// A result computed before a restart — or finished by an
+	// asynchronous job — serves without recomputing. The store answers
+	// bytes only (the decoded value is gone with the old process), so
+	// it must not enter the LRU, whose batch consumers type-assert the
+	// decoded value.
+	if durable {
 		if body, ok, err := s.store.Get("result:" + key); err == nil && ok {
 			s.m.storeHits.Add(1)
-			s.writeCached(w, r, "store", &cachedResponse{body: body})
-			return
+			return &cachedResponse{body: body}, "store", nil
 		}
 	}
-	v, err, shared := s.computeCoalesced(r.Context(), key, func() (any, error) {
-		out, err := compute(r.Context())
+	v, err, shared := s.flight.Do(key, func() (any, error) {
+		out, err := ep.Run(ctx, s.eval, norm)
 		if err != nil {
 			return nil, err
 		}
-		return encodeResponse(r.Context(), out)
+		stop := telemetry.StartStage(ctx, "encode")
+		body, err := api.EncodeJSON(out)
+		stop()
+		if err != nil {
+			return nil, err
+		}
+		return &cachedResponse{body: body, val: out}, nil
 	})
+	// A flight that died with its leader — the leader's deadline fired,
+	// its client hung up, its handler panicked — proves nothing about
+	// the request, so a follower whose own context is still live starts
+	// a fresh flight instead of inheriting the corpse.
+	if shared && err != nil && deadFlight(err) && ctx.Err() == nil {
+		return s.cached(ctx, ep, norm, durable)
+	}
+	if shared {
+		s.m.coalesced.Add(1)
+	}
 	if err != nil {
-		s.writeError(w, api.ToError(err))
-		return
+		return nil, "", err
 	}
 	cr := v.(*cachedResponse)
-	state := "coalesced"
-	if !shared {
-		state = "miss"
-		if cacheIf == nil || cacheIf(cr.val) {
-			s.results.Put(key, cr)
-			// Persist under the same admission predicate, so the next
-			// process (or an eviction) finds it in the durable tier.
-			if s.store != nil {
-				_ = s.store.Put("result:"+key, cr.body)
-			}
+	if shared {
+		return cr, "coalesced", nil
+	}
+	if ep.Admit == nil || ep.Admit(cr.val) {
+		s.results.Put(key, cr)
+		// Persist under the same admission predicate, so the next
+		// process (or an eviction) finds it in the durable tier.
+		if durable {
+			_ = s.store.Put("result:"+key, cr.body)
 		}
 	}
-	s.writeCached(w, r, state, cr)
+	return cr, "miss", nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -668,18 +663,9 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, api.Experiments())
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req api.EvaluateRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	// Keying on the normalized request makes a legacy scenario body
-	// and its spec spelling one cache entry.
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/evaluate", &norm, func(ctx context.Context) (any, error) {
-		return s.eval.Evaluate(ctx, &norm)
-	}, nil)
-}
+// evaluate is the single-evaluate endpoint whose cache keyspace batch
+// items share (the lookup cannot fail: the table registers evaluate).
+var evaluate, _ = api.LookupEndpoint("evaluate")
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchEvaluateRequest
@@ -717,116 +703,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		defer s.limiter.Release()
-		item := req.Requests[i].Normalized()
-		key, err := api.CanonicalKey("/v1/evaluate", &item)
+		// The single endpoint's cached path without the store tier (its
+		// hits carry bytes only): a batch miss warms the byte cache for
+		// later singles (and coalesces with concurrent ones); the batch
+		// document embeds the decoded value the bytes retain.
+		cr, _, err := s.cached(r.Context(), evaluate, req.Requests[i].Normalized(), false)
 		if err != nil {
-			out, evalErr := s.eval.Evaluate(r.Context(), &item)
-			if evalErr != nil {
-				resp.Results[i] = api.BatchItem{Error: api.ToError(evalErr)}
-				return nil
-			}
-			resp.Results[i] = api.BatchItem{Response: out}
+			resp.Results[i] = api.BatchItem{Error: api.ToError(err)}
 			return nil
-		}
-		if v, ok := s.results.Get(key); ok {
-			resp.Results[i] = api.BatchItem{Response: v.(*cachedResponse).val.(*api.EvaluateResponse)}
-			return nil
-		}
-		// The flight produces the same encoded-byte entry the single
-		// endpoint would, so a batch miss warms the byte cache for
-		// later singles (and coalesces with concurrent ones); the
-		// batch document embeds the decoded value the bytes retain.
-		v, evalErr, shared := s.computeCoalesced(r.Context(), key, func() (any, error) {
-			out, err := s.eval.Evaluate(r.Context(), &item)
-			if err != nil {
-				return nil, err
-			}
-			return encodeResponse(r.Context(), out)
-		})
-		if evalErr != nil {
-			resp.Results[i] = api.BatchItem{Error: api.ToError(evalErr)}
-			return nil
-		}
-		cr := v.(*cachedResponse)
-		if !shared {
-			s.results.Put(key, cr)
 		}
 		resp.Results[i] = api.BatchItem{Response: cr.val.(*api.EvaluateResponse)}
 		return nil
 	})
 	s.writeJSON(w, r, resp)
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req api.CompareRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/compare", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunCompare(ctx, norm)
-	}, nil)
-}
-
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	var req api.TimelineRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/timeline", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunTimeline(ctx, norm)
-	}, nil)
-}
-
-func (s *Server) handleCrossover(w http.ResponseWriter, r *http.Request) {
-	var req api.CrossoverRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/crossover", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunCrossover(ctx, norm)
-	}, nil)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/sweep", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunSweep(ctx, norm)
-	}, func(v any) bool {
-		// Admit only plot-sized sweeps: a full LRU of MaxSweepPoints
-		// responses would pin gigabytes. Oversized sweeps recompute,
-		// which the compiled pair makes cheap.
-		resp, ok := v.(*api.SweepResponse)
-		return ok && len(resp.Points) <= maxCachedSweepPoints
-	})
-}
-
-func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
-	var req api.MonteCarloRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/mc", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunMonteCarlo(ctx, norm)
-	}, nil)
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	var req api.FleetRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	norm := req.Normalized()
-	s.serveCached(w, r, "/v1/fleet", norm, func(ctx context.Context) (any, error) {
-		return s.eval.RunFleet(ctx, norm)
-	}, nil)
 }
 
 // artifact is a cached rendered experiment.

@@ -471,7 +471,7 @@ func TestCompareEndpoint(t *testing.T) {
 	if hdr.Get("X-Cache") != "miss" {
 		t.Errorf("first compare should miss, got %q", hdr.Get("X-Cache"))
 	}
-	want, err := api.RunCompare(api.CompareRequest{})
+	want, err := api.NewEvaluator(4).RunCompare(context.Background(), api.CompareRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestTimelineEndpoint(t *testing.T) {
 	if hdr.Get("X-Cache") != "miss" {
 		t.Errorf("first timeline should miss, got %q", hdr.Get("X-Cache"))
 	}
-	want, err := api.RunTimeline(api.TimelineRequest{})
+	want, err := api.NewEvaluator(4).RunTimeline(context.Background(), api.TimelineRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
