@@ -635,6 +635,11 @@ const MaxSweepPoints = 100_000
 // reason (draws cost ~microseconds each).
 const MaxMonteCarloSamples = 1_000_000
 
+// MaxMonteCarloApps bounds an uncertainty study's application count:
+// every draw evaluates an napps-application scenario, so the count
+// multiplies the cost of each of the study's draws.
+const MaxMonteCarloApps = 1000
+
 // SweepAxis materializes the request's axis sample points.
 func (r SweepRequest) SweepAxis() (sweep.Axis, error) {
 	if r.From > r.To {
@@ -841,6 +846,10 @@ func (e *Evaluator) planMonteCarlo(ctx context.Context, req MonteCarloRequest) (
 	}
 	if req.Samples > MaxMonteCarloSamples {
 		return nil, fmt.Errorf("%d samples exceeds the %d limit", req.Samples, MaxMonteCarloSamples)
+	}
+	if w.NApps > MaxMonteCarloApps {
+		return nil, &Error{Code: "invalid_request", Message: fmt.Sprintf(
+			"napps %d exceeds the %d-application mc limit", w.NApps, MaxMonteCarloApps)}
 	}
 	if len(req.Platforms) != 2 {
 		return nil, &Error{Code: "invalid_request", Message: fmt.Sprintf(

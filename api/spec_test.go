@@ -753,4 +753,19 @@ func TestMCSpecValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "more than one selector") {
 		t.Errorf("multi-arm mc spec must be rejected by Validate, got %v", err)
 	}
+	// Every draw evaluates an napps-application scenario, so the
+	// application count is bounded like the draw count.
+	if _, err := testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{
+		Samples: 2, Workload: &WorkloadSpec{NApps: MaxMonteCarloApps},
+	}); err != nil {
+		t.Errorf("napps at the limit must run: %v", err)
+	}
+	_, err = testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{
+		Samples: 2, Workload: &WorkloadSpec{NApps: MaxMonteCarloApps + 1},
+	})
+	if e := ToError(err); err == nil || e.Code != "invalid_request" ||
+		!strings.Contains(e.Message, fmt.Sprint(MaxMonteCarloApps)) {
+		t.Errorf("napps above the limit must be an invalid_request naming %d, got %v",
+			MaxMonteCarloApps, err)
+	}
 }

@@ -8,6 +8,7 @@ package greenfpga_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -74,50 +75,20 @@ func BenchmarkFleetPlanner(b *testing.B)      { benchExperiment(b, "planner") }
 func BenchmarkMultiFPGAGanging(b *testing.B)  { benchExperiment(b, "multi-fpga") }
 func BenchmarkFabSiting(b *testing.B)         { benchExperiment(b, "fab-siting") }
 
-// BenchmarkMonteCarlo runs a 500-sample Table 1 uncertainty study on
-// the DNN ratio. The pair is compiled once; each draw swaps in its
-// duty cycle through the cheap operational-model variant and probes
-// the O(1) uniform path, and the engine fans draws across CPUs.
+// BenchmarkMonteCarlo runs the served Monte-Carlo configuration: the
+// 500-draw Table 1 uncertainty study of the DNN FPGA:ASIC ratio at 5
+// applications that /v1/mc runs by default, built by
+// DomainRatioStudyConfig. The engine fans draws across CPUs.
 func BenchmarkMonteCarlo(b *testing.B) {
-	d, err := isoperf.ByName("DNN")
+	d, err := greenfpga.DomainByName("DNN")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp, err := pr.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	ctx := context.Background()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := greenfpga.RunMonteCarlo(greenfpga.MCConfig{
-			Samples: 500,
-			Seed:    int64(i),
-			Params: []greenfpga.MCParam{
-				{Name: "duty", Dist: greenfpga.UniformDist{Lo: 0.05, Hi: 0.2}},
-				{Name: "life", Dist: greenfpga.UniformDist{Lo: 1, Hi: 3}},
-			},
-			Model: func(draw map[string]float64) (float64, error) {
-				f, err := cp.FPGA.WithDutyCycle(draw["duty"])
-				if err != nil {
-					return 0, err
-				}
-				a, err := cp.ASIC.WithDutyCycle(draw["duty"])
-				if err != nil {
-					return 0, err
-				}
-				c, err := core.CompiledPair{FPGA: f, ASIC: a}.CompareUniform(
-					5, units.YearsOf(draw["life"]), 1e6, 0)
-				if err != nil {
-					return 0, err
-				}
-				return c.Ratio, nil
-			},
-		})
-		if err != nil {
+		cfg := greenfpga.DomainRatioStudyConfig(ctx, d, greenfpga.FPGA, greenfpga.ASIC, 5, 500, int64(i)+1)
+		if _, err := greenfpga.RunMonteCarlo(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

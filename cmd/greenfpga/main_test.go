@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -364,6 +365,9 @@ func TestCmdMCPlatforms(t *testing.T) {
 	}
 	if code := run([]string{"mc", "-platforms", "IndustryFPGA1,IndustryASIC1"}); code != 1 {
 		t.Errorf("catalog devices at mc exited %d, want 1 (calibration-bound study)", code)
+	}
+	if code := run([]string{"mc", "-napps", fmt.Sprint(api.MaxMonteCarloApps + 1)}); code != 1 {
+		t.Errorf("-napps above the mc limit exited %d, want 1", code)
 	}
 }
 

@@ -299,10 +299,14 @@ func RunMonteCarlo(cfg MCConfig) (MCResult, error) { return montecarlo.Run(cfg) 
 // reconfiguration-flow draws (t_fe/t_be) apply to FPGA-kind members,
 // whose app-development is the paper's hardware flow, while GPU/CPU
 // members keep their software-port profiles. The (FPGA, ASIC) instance
-// is the paper's FPGA:ASIC study. Every worker checks ctx before its
-// draw, so a cancelled study stops evaluating; the draws consumed
-// before cancellation are identical to an uncancelled run's. Run it
-// whole with RunMonteCarlo, or in draw ranges through
+// is the paper's FPGA:ASIC study. The two set members and the
+// application names are resolved once per configuration; each draw
+// copies the members and sets its seven drawn fields, which is what
+// d.Set() builds for the drawn calibration, and validates the drawn
+// duty cycle and staffing as d.Set() would. Every worker checks ctx
+// before its draw, so a cancelled study stops evaluating; the draws
+// consumed before cancellation are identical to an uncancelled run's.
+// Run it whole with RunMonteCarlo, or in draw ranges through
 // montecarlo.RunRange/Finalize as api.Evaluator.RunMonteCarlo and
 // /v1/mc jobs do — the draws are bit-identical either way.
 func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKind, nApps, samples int, seed int64) MCConfig {
@@ -310,13 +314,15 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 	if clampHi > 1 {
 		clampHi = 1
 	}
-	member := func(set PlatformSet, kind DeviceKind) (Platform, error) {
-		p, err := set.Member(kind)
-		if err != nil {
-			return Platform{}, fmt.Errorf("greenfpga: domain %s: %w", d.Name, err)
+	kinds := [2]DeviceKind{kindA, kindB}
+	var pair [2]Platform
+	set, setErr := d.Set()
+	for i := 0; i < 2 && setErr == nil; i++ {
+		if pair[i], setErr = set.Member(kinds[i]); setErr != nil {
+			setErr = fmt.Errorf("greenfpga: domain %s: %w", d.Name, setErr)
 		}
-		return p, nil
 	}
+	apps := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0).Apps
 	return MCConfig{
 		Samples: samples,
 		Seed:    seed,
@@ -336,19 +342,21 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			dd := d
 			dd.DutyCycle = draw["duty_cycle"]
 			dd.DesignEngineers = draw["design_staff"]
-			set, err := dd.Set()
-			if err != nil {
+			if err := dd.Validate(); err != nil {
 				return 0, err
 			}
-			pa, err := member(set, kindA)
-			if err != nil {
-				return 0, err
+			if setErr != nil {
+				return 0, setErr
 			}
-			pb, err := member(set, kindB)
-			if err != nil {
-				return 0, err
+			s := core.Scenario{Name: "mc", Apps: append([]core.Application(nil), apps...)}
+			life := units.YearsOf(draw["app_lifetime_years"])
+			for i := range s.Apps {
+				s.Apps[i].Lifetime = life
 			}
-			for _, p := range []*core.Platform{&pa, &pb} {
+			var totals [2]float64
+			for i, p := range pair {
+				p.DutyCycle = dd.DutyCycle
+				p.DesignEngineers = dd.DesignEngineers
 				if p.Spec.Kind == FPGA {
 					ad := p.AppDevProfile()
 					ad.FrontEnd = units.Months(draw["t_fe_months"])
@@ -357,19 +365,14 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 				}
 				p.RecycledMaterialFraction = draw["recycled_fraction"]
 				p.EOL.RecycleFraction = draw["eol_delta"]
+				a, err := core.Evaluate(p, s)
+				if err != nil {
+					return 0, fmt.Errorf("greenfpga: %s side: %w", kinds[i], err)
+				}
+				totals[i] = a.Total().Kilograms()
 			}
-			s := core.Uniform("mc", nApps,
-				units.YearsOf(draw["app_lifetime_years"]), isoperf.ReferenceVolume, 0)
-			fa, err := core.Evaluate(pa, s)
-			if err != nil {
-				return 0, fmt.Errorf("greenfpga: %s side: %w", kindA, err)
-			}
-			fb, err := core.Evaluate(pb, s)
-			if err != nil {
-				return 0, fmt.Errorf("greenfpga: %s side: %w", kindB, err)
-			}
-			if bt := fb.Total().Kilograms(); bt != 0 {
-				return fa.Total().Kilograms() / bt, nil
+			if totals[1] != 0 {
+				return totals[0] / totals[1], nil
 			}
 			return math.Inf(1), nil
 		},

@@ -63,7 +63,6 @@ type tracedOp struct {
 // to the first trace year so the cached "annual operation" constant
 // reports the signal-integrated figure.
 func (c *Compiled) compileTrace() error {
-	c.op = nil
 	p := &c.platform
 	integ := p.UseIntegrator
 	if integ == nil {
@@ -164,34 +163,6 @@ func (c *Compiled) DesignCFP() units.Mass { return c.design }
 // AnnualOperationCarbon returns the cached C_op for one device-year.
 func (c *Compiled) AnnualOperationCarbon() units.Mass { return c.opAnnual }
 
-// WithDutyCycle derives a compiled platform with a different duty
-// cycle without re-running the embodied models: only the operational
-// carbon depends on it. This is the Monte-Carlo hot path — Table 1
-// uncertainty studies redraw the duty cycle per sample while the die,
-// node and design inputs stay fixed.
-func (c *Compiled) WithDutyCycle(duty float64) (*Compiled, error) {
-	if duty == c.platform.DutyCycle {
-		return c, nil
-	}
-	out := *c
-	out.platform.DutyCycle = duty
-	if err := out.platform.Validate(); err != nil {
-		return nil, err
-	}
-	opAnnual, err := out.platform.operation().AnnualCarbon()
-	if err != nil {
-		return nil, err
-	}
-	out.opAnnual = opAnnual
-	// Traced platforms also re-pack the shift profile (it depends on
-	// the duty cycle) and re-anchor opAnnual; the integrator itself is
-	// duty-independent and shared.
-	if err := out.compileTrace(); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // addHardware spreads devices' worth of per-device embodied cost into
 // the breakdown.
 func (c *Compiled) addHardware(b *Breakdown, devices float64) {
@@ -215,6 +186,7 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 		Platform:            p.Spec.Name,
 		Kind:                p.Spec.Kind,
 		HardwareGenerations: 1,
+		PerApp:              make([]AppAssessment, 0, len(s.Apps)),
 	}
 
 	// Applications run back to back from t=0 (the Sequential timeline);

@@ -376,44 +376,6 @@ func TestCompiledPairCompareMatchesPair(t *testing.T) {
 	}
 }
 
-// TestWithDutyCycle asserts the cheap duty-cycle variant matches a
-// full recompile.
-func TestWithDutyCycle(t *testing.T) {
-	fpga, _ := testPlatforms(t)
-	c, err := Compile(fpga)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.WithDutyCycle(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := fpga
-	direct.DutyCycle = 0.25
-	dc, err := Compile(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Uniform("w", 3, units.YearsOf(2), 1e5, 0)
-	a, err := v.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dc.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("WithDutyCycle diverges from recompile:\ngot  %+v\nwant %+v", a, b)
-	}
-	if same, err := c.WithDutyCycle(fpga.DutyCycle); err != nil || same != c {
-		t.Errorf("unchanged duty cycle must return the receiver, got %p vs %p (err %v)", same, c, err)
-	}
-	if _, err := c.WithDutyCycle(2); err == nil {
-		t.Error("invalid duty cycle must error")
-	}
-}
-
 // TestEvaluateUniformGenerationBoundary pins the chip-lifetime
 // boundary case: 0.7*10 is exactly 7.0 under IEEE-754 but summing ten
 // 0.7s exceeds it, so a multiplied total would under-count hardware

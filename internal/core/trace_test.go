@@ -197,44 +197,6 @@ func TestShiftBeatsUniform(t *testing.T) {
 	}
 }
 
-// TestWithDutyCycleTraced: the Monte-Carlo duty-cycle derivation must
-// recompile the trace state (the shift packing depends on duty) and
-// land exactly where a fresh Compile lands.
-func TestWithDutyCycleTraced(t *testing.T) {
-	fpga, _ := testPlatforms(t)
-	fpga.UseTrace = diurnalTrace(8760)
-	fpga.UseShift = carbon.ShiftDaily
-	c, err := Compile(fpga)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived, err := c.WithDutyCycle(0.55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := fpga
-	direct.DutyCycle = 0.55
-	dc, err := Compile(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Uniform("d", 2, units.YearsOf(1.5), 1e4, 0)
-	a, err := derived.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dc.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("WithDutyCycle traced result diverges from fresh compile: %+v vs %+v", a, b)
-	}
-	if derived.AnnualOperationCarbon() != dc.AnnualOperationCarbon() {
-		t.Errorf("opAnnual diverges: %v vs %v", derived.AnnualOperationCarbon(), dc.AnnualOperationCarbon())
-	}
-}
-
 // TestRegionIntegratorReuse: compiling two platforms against the same
 // cached region integrator must share the constants (pointer
 // equality), the "compiled per-region trace constants" contract.

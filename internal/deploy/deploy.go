@@ -54,15 +54,7 @@ func (p OperationProfile) Validate() error {
 
 // intensity resolves the use-phase carbon intensity.
 func (p OperationProfile) intensity() (units.CarbonIntensity, error) {
-	mix := p.UseMix
-	if mix == nil {
-		var err error
-		mix, err = grid.ByRegion(grid.RegionWorld)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return mix.Intensity()
+	return grid.SiteIntensity(p.UseMix, grid.RegionWorld, 0)
 }
 
 // AnnualEnergy is E_use for one device over one year.
@@ -184,15 +176,7 @@ func (a AppDev) Validate() error {
 
 // intensity resolves the development-phase carbon intensity.
 func (a AppDev) intensity() (units.CarbonIntensity, error) {
-	mix := a.Mix
-	if mix == nil {
-		var err error
-		mix, err = grid.ByRegion(grid.RegionUSA)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return mix.Intensity()
+	return grid.SiteIntensity(a.Mix, grid.RegionUSA, 0)
 }
 
 // PerApplication is the one-time development carbon of a single

@@ -58,22 +58,7 @@ func (o Org) CarbonPerEmployeeYear() (units.Mass, error) {
 	if o.AnnualEnergy <= 0 {
 		return 0, fmt.Errorf("design: org %q has non-positive annual energy", o.Name)
 	}
-	mix := o.Mix
-	if mix == nil {
-		var err error
-		mix, err = grid.ByRegion(grid.RegionUSA)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if o.RenewableTarget > 0 {
-		var err error
-		mix, err = mix.WithRenewables(o.RenewableTarget)
-		if err != nil {
-			return 0, err
-		}
-	}
-	ci, err := mix.Intensity()
+	ci, err := grid.SiteIntensity(o.Mix, grid.RegionUSA, o.RenewableTarget)
 	if err != nil {
 		return 0, err
 	}

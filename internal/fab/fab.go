@@ -80,22 +80,7 @@ func PerDie(in Inputs) (Result, error) {
 		return Result{}, fmt.Errorf("fab: renewable target %g outside [0,1]", in.RenewableTarget)
 	}
 
-	mix := in.FabMix
-	if mix == nil {
-		var err error
-		mix, err = grid.ByRegion(grid.RegionTaiwan)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if in.RenewableTarget > 0 {
-		var err error
-		mix, err = mix.WithRenewables(in.RenewableTarget)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	ci, err := mix.Intensity()
+	ci, err := grid.SiteIntensity(in.FabMix, grid.RegionTaiwan, in.RenewableTarget)
 	if err != nil {
 		return Result{}, err
 	}

@@ -54,15 +54,19 @@ func Intensity(s Source) (units.CarbonIntensity, error) {
 	return ci, nil
 }
 
-// Sources lists the known sources in deterministic order.
-func Sources() []Source {
+// sortedSources holds the known sources in deterministic order, the
+// order every mix summation follows.
+var sortedSources = func() []Source {
 	out := make([]Source, 0, len(sourceIntensity))
 	for s := range sourceIntensity {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
+}()
+
+// Sources lists the known sources in deterministic order.
+func Sources() []Source { return append([]Source(nil), sortedSources...) }
 
 // Renewable reports whether the source counts toward the renewable
 // fraction knob of the design and manufacturing models.
@@ -78,28 +82,38 @@ func Renewable(s Source) bool {
 // sum to 1; Normalize enforces it.
 type Mix map[Source]float64
 
-// Normalize scales the shares so they sum to one. It returns an error if
-// the mix is empty, has negative shares, or references unknown sources.
-func (m Mix) Normalize() (Mix, error) {
+// total validates the mix and sums its shares in deterministic source
+// order, so normalization (and every model built on it) is
+// bit-reproducible across calls. It errors if the mix is empty, has
+// negative shares, references unknown sources or sums to zero.
+func (m Mix) total() (float64, error) {
 	if len(m) == 0 {
-		return nil, fmt.Errorf("grid: empty mix")
+		return 0, fmt.Errorf("grid: empty mix")
 	}
 	for s, f := range m {
 		if _, ok := sourceIntensity[s]; !ok {
-			return nil, fmt.Errorf("grid: unknown energy source %q in mix", s)
+			return 0, fmt.Errorf("grid: unknown energy source %q in mix", s)
 		}
 		if f < 0 {
-			return nil, fmt.Errorf("grid: negative share %g for %q", f, s)
+			return 0, fmt.Errorf("grid: negative share %g for %q", f, s)
 		}
 	}
-	// Sum in deterministic source order so normalization (and every
-	// model built on it) is bit-reproducible across calls.
 	total := 0.0
-	for _, s := range Sources() {
+	for _, s := range sortedSources {
 		total += m[s]
 	}
 	if total <= 0 {
-		return nil, fmt.Errorf("grid: mix shares sum to zero")
+		return 0, fmt.Errorf("grid: mix shares sum to zero")
+	}
+	return total, nil
+}
+
+// Normalize scales the shares so they sum to one. It returns an error if
+// the mix is empty, has negative shares, or references unknown sources.
+func (m Mix) Normalize() (Mix, error) {
+	total, err := m.total()
+	if err != nil {
+		return nil, err
 	}
 	out := make(Mix, len(m))
 	for s, f := range m {
@@ -108,18 +122,19 @@ func (m Mix) Normalize() (Mix, error) {
 	return out, nil
 }
 
-// Intensity reports the share-weighted carbon intensity of the mix.
-// Summation follows the deterministic source order so repeated calls
-// are bit-identical.
+// Intensity reports the share-weighted carbon intensity of the mix:
+// each normalized share f/total times its source's intensity, summed
+// in deterministic source order so repeated calls are bit-identical —
+// and identical to summing the Normalize result, without building it.
 func (m Mix) Intensity() (units.CarbonIntensity, error) {
-	norm, err := m.Normalize()
+	total, err := m.total()
 	if err != nil {
 		return 0, err
 	}
 	var ci float64
-	for _, s := range Sources() {
-		if f, ok := norm[s]; ok {
-			ci += f * sourceIntensity[s].KgPerKWh()
+	for _, s := range sortedSources {
+		if f, ok := m[s]; ok {
+			ci += f / total * sourceIntensity[s].KgPerKWh()
 		}
 	}
 	return units.KgPerKWh(ci), nil
@@ -133,7 +148,7 @@ func (m Mix) RenewableFraction() (float64, error) {
 		return 0, err
 	}
 	var f float64
-	for _, s := range Sources() {
+	for _, s := range sortedSources {
 		if Renewable(s) {
 			f += norm[s]
 		}
@@ -231,6 +246,49 @@ func ByRegion(r Region) (Mix, error) {
 		return nil, fmt.Errorf("grid: unknown region %q", r)
 	}
 	return m.Normalize()
+}
+
+// presetIntensities memoizes every preset region's intensity, computed
+// exactly as ByRegion(r) then Intensity().
+var presetIntensities = func() map[Region]units.CarbonIntensity {
+	out := make(map[Region]units.CarbonIntensity, len(regionMixes))
+	for r := range regionMixes {
+		m, _ := ByRegion(r) // the preset mixes are valid
+		out[r], _ = m.Intensity()
+	}
+	return out
+}()
+
+// PresetIntensity reports a preset region's carbon intensity,
+// bit-identical to ByRegion(r) then Intensity() but computed once.
+func PresetIntensity(r Region) (units.CarbonIntensity, error) {
+	ci, ok := presetIntensities[r]
+	if !ok {
+		return 0, fmt.Errorf("grid: unknown region %q", r)
+	}
+	return ci, nil
+}
+
+// SiteIntensity resolves a model's grid intensity: mix m, or the
+// preset mix of region def when m is nil, with its renewable share
+// raised to renewableTarget when that is positive. The unmodified
+// preset reads the memoized PresetIntensity.
+func SiteIntensity(m Mix, def Region, renewableTarget float64) (units.CarbonIntensity, error) {
+	var err error
+	if m == nil {
+		if renewableTarget <= 0 {
+			return PresetIntensity(def)
+		}
+		if m, err = ByRegion(def); err != nil {
+			return 0, err
+		}
+	}
+	if renewableTarget > 0 {
+		if m, err = m.WithRenewables(renewableTarget); err != nil {
+			return 0, err
+		}
+	}
+	return m.Intensity()
 }
 
 // Regions lists the preset regions in deterministic order.

@@ -175,9 +175,9 @@ func (d Domain) Validate() error {
 // function of its fields; experiments re-resolve the same three
 // calibrated domains for every artifact, and without the cache each
 // resolution re-runs the node lookup and yield model. Modified
-// domains (Monte-Carlo models drawing DutyCycle per sample, say)
-// bypass the cache entirely — every key would be unique, so caching
-// them would only buy mutex contention and garbage.
+// domains (a caller varying a field per evaluation, say) bypass the
+// cache entirely — every key would be unique, so caching them would
+// only buy mutex contention and garbage.
 var pairCache struct {
 	sync.Mutex
 	m map[Domain]core.Pair

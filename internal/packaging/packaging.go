@@ -129,15 +129,7 @@ func CFP(in Inputs) (Result, error) {
 		return Result{}, fmt.Errorf("packaging: negative assembly coefficient %g", assemblyE)
 	}
 
-	mix := in.AssemblyMix
-	if mix == nil {
-		var err error
-		mix, err = grid.ByRegion(grid.RegionTaiwan)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	ci, err := mix.Intensity()
+	ci, err := grid.SiteIntensity(in.AssemblyMix, grid.RegionTaiwan, 0)
 	if err != nil {
 		return Result{}, err
 	}

@@ -28,9 +28,10 @@ func TestSingleflightCoalescesIdenticalMisses(t *testing.T) {
 			})
 		},
 	})
-	// ~1s of Monte-Carlo per evaluation: long enough that every
-	// request released by the barrier joins the live flight.
-	const body = `{"samples":20000,"seed":11}`
+	// ~1s of Monte-Carlo per evaluation (100-application draws):
+	// long enough that every request released by the barrier joins
+	// the live flight.
+	const body = `{"samples":20000,"seed":11,"napps":100}`
 	var wg sync.WaitGroup
 	headers := make([]string, n)
 	bodies := make([][]byte, n)
@@ -90,7 +91,7 @@ func TestDeadlineCancelsCompute(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":200000,"seed":1}`)
+	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":200000,"seed":1,"napps":100}`)
 	responded := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d %s, want 504", code, data)
@@ -249,9 +250,9 @@ func TestEndpointTimeoutOverride(t *testing.T) {
 		RequestTimeout:   50 * time.Millisecond,
 		EndpointTimeouts: map[string]time.Duration{"/v1/mc": 30 * time.Second},
 	})
-	// ~1s of compute: over the 50ms global deadline, far under the
-	// 30s override.
-	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":20000,"seed":4}`)
+	// ~1s of compute (100-application draws): over the 50ms global
+	// deadline, far under the 30s override.
+	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":20000,"seed":4,"napps":100}`)
 	if code != http.StatusOK {
 		t.Fatalf("mc under override: %d %s, want 200", code, data)
 	}

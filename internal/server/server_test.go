@@ -729,7 +729,7 @@ func TestGracefulShutdown(t *testing.T) {
 	inflight := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(base+"/v1/mc", "application/json",
-			strings.NewReader(`{"samples":20000,"seed":9}`))
+			strings.NewReader(`{"samples":20000,"seed":9,"napps":100}`))
 		if err != nil {
 			inflight <- -1
 			return
