@@ -31,9 +31,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"greenfpga/internal/config"
 	"greenfpga/internal/core"
+	"greenfpga/internal/deploy"
 	"greenfpga/internal/device"
 	"greenfpga/internal/dse"
 	"greenfpga/internal/experiments"
@@ -299,13 +301,17 @@ func RunMonteCarlo(cfg MCConfig) (MCResult, error) { return montecarlo.Run(cfg) 
 // reconfiguration-flow draws (t_fe/t_be) apply to FPGA-kind members,
 // whose app-development is the paper's hardware flow, while GPU/CPU
 // members keep their software-port profiles. The (FPGA, ASIC) instance
-// is the paper's FPGA:ASIC study. The two set members and the
-// application names are resolved once per configuration; each draw
-// copies the members and sets its seven drawn fields, which is what
-// d.Set() builds for the drawn calibration, and validates the drawn
-// duty cycle and staffing as d.Set() would. Every worker checks ctx
-// before its draw, so a cancelled study stops evaluating; the draws
-// consumed before cancellation are identical to an uncancelled run's.
+// is the paper's FPGA:ASIC study. The two set members, the
+// application names and the FPGA-kind app-development profiles are
+// resolved once per configuration; each draw copies the members and
+// sets its seven drawn fields, which is what d.Set() builds for the
+// drawn calibration, and validates the drawn duty cycle and staffing
+// as d.Set() would. A draw reads only the two totals, so it evaluates
+// through core.EvaluateTotals on a scenario and profiles borrowed from
+// a per-configuration scratch pool instead of heap copies. Every
+// worker checks ctx before its draw, so a cancelled study stops
+// evaluating; the draws consumed before cancellation are identical to
+// an uncancelled run's.
 // Run it whole with RunMonteCarlo, or in draw ranges through
 // montecarlo.RunRange/Finalize as api.Evaluator.RunMonteCarlo and
 // /v1/mc jobs do — the draws are bit-identical either way.
@@ -316,13 +322,26 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 	}
 	kinds := [2]DeviceKind{kindA, kindB}
 	var pair [2]Platform
+	var appDev [2]deploy.AppDev
 	set, setErr := d.Set()
 	for i := 0; i < 2 && setErr == nil; i++ {
 		if pair[i], setErr = set.Member(kinds[i]); setErr != nil {
 			setErr = fmt.Errorf("greenfpga: domain %s: %w", d.Name, setErr)
 		}
+		appDev[i] = pair[i].AppDevProfile()
 	}
 	apps := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0).Apps
+	// A draw's mutable state: the scenario, whose names are fixed per
+	// study and whose lifetime is drawn, and the members' drawn
+	// app-development profiles. Draws run concurrently, so each
+	// borrows its own.
+	type drawScratch struct {
+		apps   []core.Application
+		appDev [2]deploy.AppDev
+	}
+	scratch := sync.Pool{New: func() any {
+		return &drawScratch{apps: append([]core.Application(nil), apps...)}
+	}}
 	return MCConfig{
 		Samples: samples,
 		Seed:    seed,
@@ -348,7 +367,9 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			if setErr != nil {
 				return 0, setErr
 			}
-			s := core.Scenario{Name: "mc", Apps: append([]core.Application(nil), apps...)}
+			sc := scratch.Get().(*drawScratch)
+			defer scratch.Put(sc)
+			s := core.Scenario{Name: "mc", Apps: sc.apps}
 			life := units.YearsOf(draw["app_lifetime_years"])
 			for i := range s.Apps {
 				s.Apps[i].Lifetime = life
@@ -358,14 +379,15 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 				p.DutyCycle = dd.DutyCycle
 				p.DesignEngineers = dd.DesignEngineers
 				if p.Spec.Kind == FPGA {
-					ad := p.AppDevProfile()
+					ad := &sc.appDev[i]
+					*ad = appDev[i]
 					ad.FrontEnd = units.Months(draw["t_fe_months"])
 					ad.BackEnd = units.Months(draw["t_be_months"])
-					p.AppDev = &ad
+					p.AppDev = ad
 				}
 				p.RecycledMaterialFraction = draw["recycled_fraction"]
 				p.EOL.RecycleFraction = draw["eol_delta"]
-				a, err := core.Evaluate(p, s)
+				a, err := core.EvaluateTotals(p, s)
 				if err != nil {
 					return 0, fmt.Errorf("greenfpga: %s side: %w", kinds[i], err)
 				}

@@ -110,31 +110,42 @@ func (c *Compiled) opWindow(startYears, spanYears float64) units.Mass {
 // Compile validates the platform and caches the five platform-constant
 // quantities Evaluate would otherwise re-derive per call.
 func Compile(p Platform) (*Compiled, error) {
-	if err := p.Validate(); err != nil {
+	c := new(Compiled)
+	if err := compile(p, c); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// compile is Compile into caller-owned storage, so one-shot callers
+// (the package-level Evaluate and EvaluateTotals) keep the Compiled on
+// their stack.
+func compile(p Platform, c *Compiled) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	dc, err := p.DeviceCost()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	des, err := p.DesignCFP()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	opAnnual, err := p.operation().AnnualCarbon()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ad := p.appDev()
 	perApp, err := ad.PerApplication()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	perCfg, err := ad.PerConfiguration()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &Compiled{
+	*c = Compiled{
 		platform:   p,
 		deviceCost: dc,
 		design:     des,
@@ -145,10 +156,7 @@ func Compile(p Platform) (*Compiled, error) {
 		pkgTotal:   dc.Packaging.Total(),
 		eolNet:     dc.EOL.Net(),
 	}
-	if err := c.compileTrace(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c.compileTrace()
 }
 
 // Platform returns the compiled platform inputs.
@@ -176,7 +184,12 @@ func (c *Compiled) addHardware(b *Breakdown, devices float64) {
 // reuse policy (Eq. 1 for per-application embodied carbon, Eq. 2 for
 // reusable fleets). Results are identical to Evaluate on the
 // uncompiled platform.
-func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
+func (c *Compiled) Evaluate(s Scenario) (Assessment, error) { return c.evaluate(s, true) }
+
+// evaluate is the one Eq. 1/Eq. 2 loop behind Evaluate and
+// EvaluateTotals; perApp selects whether it records the
+// per-application contributions. Nothing else depends on it.
+func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
 	if err := s.Validate(); err != nil {
 		return Assessment{}, err
 	}
@@ -186,7 +199,9 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 		Platform:            p.Spec.Name,
 		Kind:                p.Spec.Kind,
 		HardwareGenerations: 1,
-		PerApp:              make([]AppAssessment, 0, len(s.Apps)),
+	}
+	if perApp {
+		out.PerApp = make([]AppAssessment, 0, len(s.Apps))
 	}
 
 	// Applications run back to back from t=0 (the Sequential timeline);
@@ -211,9 +226,11 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 			at += app.Lifetime.Years()
 			b.Design = c.design
 			c.addHardware(&b, devices*float64(gens))
-			out.PerApp = append(out.PerApp, AppAssessment{
-				Name: app.Name, DevicesPerUnit: n, Breakdown: b,
-			})
+			if perApp {
+				out.PerApp = append(out.PerApp, AppAssessment{
+					Name: app.Name, DevicesPerUnit: n, Breakdown: b,
+				})
+			}
 			out.Breakdown = out.Breakdown.Add(b)
 			out.DevicesManufactured += devices * float64(gens)
 			out.FleetSize = math.Max(out.FleetSize, devices)
@@ -223,17 +240,15 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 
 	// Eq. 2: a reusable fleet (FPGA, GPU, CPU) is built once (per
 	// hardware generation) and reconfigured or reprogrammed across
-	// applications. Device counts are computed once
-	// here and reused below, so the per-application pass cannot hit a
-	// Required error the fleet-sizing pass did not already surface.
+	// applications. The fleet-sizing pass surfaces every Required
+	// error, so the per-application pass below re-derives the same
+	// device counts without one.
 	var fleet float64
-	counts := make([]int, len(s.Apps))
-	for i, app := range s.Apps {
+	for _, app := range s.Apps {
 		n, err := p.Spec.Required(app.SizeGates)
 		if err != nil {
 			return Assessment{}, err
 		}
-		counts[i] = n
 		fleet = math.Max(fleet, app.Volume*float64(n))
 	}
 	gens := 1
@@ -249,14 +264,16 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 	out.Breakdown.Design = c.design
 	c.addHardware(&out.Breakdown, fleet*float64(gens))
 
-	for i, app := range s.Apps {
-		n := counts[i]
+	for _, app := range s.Apps {
+		n, _ := p.Spec.Required(app.SizeGates) // the sizing pass returned any error
 		devices := app.Volume * float64(n)
 		b := c.appBreakdown(app, devices, s.StrictEq2, at)
 		at += app.Lifetime.Years()
-		out.PerApp = append(out.PerApp, AppAssessment{
-			Name: app.Name, DevicesPerUnit: n, Breakdown: b,
-		})
+		if perApp {
+			out.PerApp = append(out.PerApp, AppAssessment{
+				Name: app.Name, DevicesPerUnit: n, Breakdown: b,
+			})
+		}
 		out.Breakdown = out.Breakdown.Add(b)
 	}
 	return out, nil

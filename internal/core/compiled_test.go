@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"greenfpga/internal/carbon"
 	"greenfpga/internal/device"
 	"greenfpga/internal/technode"
 	"greenfpga/internal/units"
@@ -224,6 +225,70 @@ func TestQuickCompiledMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: Compiled.Evaluate diverges from reference:\ngot  %+v\nwant %+v", i, got, want)
+		}
+		checkTotalsMatch(t, p, s, want)
+	}
+}
+
+// checkTotalsMatch asserts that EvaluateTotals reproduces want — an
+// Evaluate result for (p, s) — bit for bit with PerApp left nil.
+func checkTotalsMatch(t *testing.T, p Platform, s Scenario, want Assessment) {
+	t.Helper()
+	if len(want.PerApp) != len(s.Apps) {
+		t.Fatalf("Evaluate listed %d of %d applications", len(want.PerApp), len(s.Apps))
+	}
+	want.PerApp = nil
+	got, err := EvaluateTotals(p, s)
+	if err != nil {
+		t.Fatalf("EvaluateTotals: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("EvaluateTotals diverges from Evaluate:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestEvaluateTotalsMatchesEvaluate pins the totals-only mode of the
+// Eq. 1/Eq. 2 loop to Evaluate across every kind, traced platforms
+// with and without daily shifting, a chip-lifetime cap, strict Eq. 2
+// accounting, and scenario lengths on both sides of any small-buffer
+// threshold.
+func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	variants := []struct {
+		name string
+		set  func(*Platform)
+	}{
+		{"scalar", func(*Platform) {}},
+		{"traced", func(p *Platform) { p.UseTrace = diurnalTrace(8760) }},
+		{"traced-shift", func(p *Platform) {
+			p.UseTrace = diurnalTrace(8760)
+			p.UseShift = carbon.ShiftDaily
+		}},
+		{"capped", func(p *Platform) { p.ChipLifetime = units.YearsOf(3) }},
+	}
+	for _, kind := range device.Kinds() {
+		for _, v := range variants {
+			p := randomPlatform(t, r, kind)
+			p.ChipLifetime = 0
+			v.set(&p)
+			for _, napps := range []int{1, 5, 17, 100} {
+				for _, strict := range []bool{false, true} {
+					s := Scenario{Name: "totals", StrictEq2: strict}
+					for i := 0; i < napps; i++ {
+						s.Apps = append(s.Apps, Application{
+							Name:      "app",
+							Lifetime:  units.YearsOf(0.2 + r.Float64()*3),
+							Volume:    1 + r.Float64()*1e6,
+							SizeGates: r.Float64() * 2e8,
+						})
+					}
+					want, err := Evaluate(p, s)
+					if err != nil {
+						t.Fatalf("%s/%s/%d apps: Evaluate: %v", kind, v.name, napps, err)
+					}
+					checkTotalsMatch(t, p, s, want)
+				}
+			}
 		}
 	}
 }

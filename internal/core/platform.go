@@ -219,12 +219,11 @@ func (p Platform) DeviceCost() (DeviceCost, error) {
 		mfg.Yield = p.YieldOverride
 	}
 
-	pkg, err := packaging.CFP(packaging.Inputs{
+	pkg, err := packaging.SingleDieCFP(packaging.Inputs{
 		Style:             p.PackagingStyle,
-		DieAreas:          []units.Area{p.Spec.DieArea},
 		PackageAreaFactor: p.PackagingAreaFactor,
 		AssemblyMix:       p.FabMix,
-	})
+	}, p.Spec.DieArea)
 	if err != nil {
 		return DeviceCost{}, err
 	}

@@ -79,27 +79,31 @@ type ReusePolicy struct {
 	AppDev AppDevClass
 }
 
-// policies maps each kind to its reuse policy.
-var policies = map[Kind]ReusePolicy{
-	ASIC: {Reusable: false, CapacityGanged: false, AppDev: AppDevNone},
-	FPGA: {Reusable: true, CapacityGanged: true, AppDev: AppDevHardware},
-	GPU:  {Reusable: true, CapacityGanged: false, AppDev: AppDevSoftware},
-	CPU:  {Reusable: true, CapacityGanged: false, AppDev: AppDevSoftware},
-}
-
 // Kinds lists the known platform classes in a stable order.
 func Kinds() []Kind { return []Kind{ASIC, FPGA, GPU, CPU} }
 
 // Policy returns the kind's reuse policy. Unknown kinds return the
-// zero policy; Validate rejects them.
-func (k Kind) Policy() ReusePolicy { return policies[k] }
+// zero policy; Validate rejects them. It is a switch rather than a
+// map lookup because every evaluation asks it once per application.
+func (k Kind) Policy() ReusePolicy {
+	switch k {
+	case ASIC:
+		return ReusePolicy{Reusable: false, CapacityGanged: false, AppDev: AppDevNone}
+	case FPGA:
+		return ReusePolicy{Reusable: true, CapacityGanged: true, AppDev: AppDevHardware}
+	case GPU, CPU:
+		return ReusePolicy{Reusable: true, CapacityGanged: false, AppDev: AppDevSoftware}
+	}
+	return ReusePolicy{}
+}
 
 // Validate checks that the kind is a known platform class.
 func (k Kind) Validate() error {
-	if _, ok := policies[k]; !ok {
-		return fmt.Errorf("device: unknown kind %q (known: asic, fpga, gpu, cpu)", k)
+	switch k {
+	case ASIC, FPGA, GPU, CPU:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("device: unknown kind %q (known: asic, fpga, gpu, cpu)", k)
 }
 
 // Spec describes one device.

@@ -85,7 +85,24 @@ func (r Result) Total() units.Mass {
 }
 
 // CFP evaluates the packaging model.
-func CFP(in Inputs) (Result, error) {
+func CFP(in Inputs) (Result, error) { return cfp(in, in.DieAreas) }
+
+// SingleDieCFP is CFP for a package around one die of the given area
+// (in.DieAreas must be empty) — the per-device call of every platform.
+// CFP's inputs escape through its error paths, so a one-element
+// DieAreas slice built for it costs a heap allocation per call; the
+// die list here lives on the stack.
+func SingleDieCFP(in Inputs, area units.Area) (Result, error) {
+	if len(in.DieAreas) != 0 {
+		return Result{}, fmt.Errorf("packaging: single-die package given %d more dice", len(in.DieAreas))
+	}
+	dies := [1]units.Area{area}
+	return cfp(in, dies[:])
+}
+
+// cfp is CFP with the dice passed apart from in, so they do not share
+// in's escape.
+func cfp(in Inputs, dies []units.Area) (Result, error) {
 	style := in.Style
 	if style == "" {
 		style = Monolithic
@@ -93,14 +110,14 @@ func CFP(in Inputs) (Result, error) {
 	if style != Monolithic && style != Interposer25D {
 		return Result{}, fmt.Errorf("packaging: unknown style %q", style)
 	}
-	if len(in.DieAreas) == 0 {
+	if len(dies) == 0 {
 		return Result{}, fmt.Errorf("packaging: no dice")
 	}
-	if style == Monolithic && len(in.DieAreas) != 1 {
-		return Result{}, fmt.Errorf("packaging: monolithic package holds one die, got %d", len(in.DieAreas))
+	if style == Monolithic && len(dies) != 1 {
+		return Result{}, fmt.Errorf("packaging: monolithic package holds one die, got %d", len(dies))
 	}
 	var totalDie units.Area
-	for _, a := range in.DieAreas {
+	for _, a := range dies {
 		if a.MM2() <= 0 {
 			return Result{}, fmt.Errorf("packaging: die area must be positive, got %v", a)
 		}
@@ -156,7 +173,7 @@ func CFP(in Inputs) (Result, error) {
 		interEnergy := node.EPA.Times(interArea)
 		res.InterposerCarbon = interEnergy.Carbon(ci) +
 			node.GPA.Times(interArea) + node.MPANew.Times(interArea) +
-			units.KWh(DefaultBondingEnergyKWhPerDie*float64(len(in.DieAreas))).Carbon(ci)
+			units.KWh(DefaultBondingEnergyKWhPerDie*float64(len(dies))).Carbon(ci)
 	}
 	return res, nil
 }

@@ -104,6 +104,34 @@ func TestCFPErrors(t *testing.T) {
 	}
 }
 
+// TestSingleDieCFPMatchesCFP checks the single-die entry against CFP
+// on a one-element die list, for both styles, and that it refuses a
+// die list of its own.
+func TestSingleDieCFPMatchesCFP(t *testing.T) {
+	area := units.MM2(137)
+	for _, style := range []Style{"", Monolithic, Interposer25D} {
+		in := Inputs{Style: style, PackageAreaFactor: 1.7, AssemblyMix: grid.Mix{"coal": 0.5, "solar": 0.5}}
+		got, err := SingleDieCFP(in, area)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.DieAreas = []units.Area{area}
+		want, err := CFP(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("style %q: SingleDieCFP %+v, CFP %+v", style, got, want)
+		}
+		if _, err := SingleDieCFP(in, area); err == nil {
+			t.Errorf("style %q: SingleDieCFP accepted an extra die list", style)
+		}
+	}
+	if _, err := SingleDieCFP(Inputs{}, units.MM2(0)); err == nil {
+		t.Error("SingleDieCFP accepted a zero-area die")
+	}
+}
+
 // Property: packaging carbon scales linearly with die area for
 // monolithic packages.
 func TestQuickLinearInArea(t *testing.T) {

@@ -49,16 +49,19 @@ func RunWorkers(n, chunk int, newWorker func() Eval) error {
 		workers = m
 	}
 
-	errs := make([]error, n)
-	// minFail is the lowest failing index seen so far (n = none).
-	// Chunks are claimed in increasing order, so once a chunk starts
-	// at or past minFail nothing it could compute changes the outcome
-	// and workers stop claiming — a study that fails on an early draw
-	// does not grind through the full range first. minFail only
-	// decreases, so every index below its final value is evaluated and
-	// the reported error is deterministically the lowest one.
+	// minFail is the lowest failing index seen so far (n = none) and
+	// firstErr its error; both move together under mu, so one slot
+	// holds the reported error whatever n is. Chunks are claimed in
+	// increasing order, so once a chunk starts at or past minFail
+	// nothing it could compute changes the outcome and workers stop
+	// claiming — a study that fails on an early draw does not grind
+	// through the full range first. minFail only decreases, so every
+	// index below its final value is evaluated and the reported error
+	// is deterministically the lowest one.
 	var next, minFail atomic.Int64
 	minFail.Store(int64(n))
+	var mu sync.Mutex
+	var firstErr error
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -76,23 +79,17 @@ func RunWorkers(n, chunk int, newWorker func() Eval) error {
 				}
 				for i := start; i < end; i++ {
 					if err := eval(i); err != nil {
-						errs[i] = err
-						for {
-							cur := minFail.Load()
-							if int64(i) >= cur || minFail.CompareAndSwap(cur, int64(i)) {
-								break
-							}
+						mu.Lock()
+						if int64(i) < minFail.Load() {
+							minFail.Store(int64(i))
+							firstErr = err
 						}
+						mu.Unlock()
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }

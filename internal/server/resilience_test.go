@@ -28,9 +28,9 @@ func TestSingleflightCoalescesIdenticalMisses(t *testing.T) {
 			})
 		},
 	})
-	// ~1s of Monte-Carlo per evaluation (100-application draws):
-	// long enough that every request released by the barrier joins
-	// the live flight.
+	// ~0.3s of Monte-Carlo per evaluation on 2 vCPUs (100-application
+	// draws): long enough that every request released by the barrier
+	// joins the live flight.
 	const body = `{"samples":20000,"seed":11,"napps":100}`
 	var wg sync.WaitGroup
 	headers := make([]string, n)
@@ -78,7 +78,8 @@ func TestSingleflightCoalescesIdenticalMisses(t *testing.T) {
 // compute overrunning its deadline answers a 504 deadline_exceeded
 // envelope promptly, and the workers observe the cancellation — the
 // handler goroutine finishes in seconds where the uncancelled
-// evaluation (200k Monte-Carlo samples, ~10s) could not have.
+// evaluation (200k Monte-Carlo samples of 300 applications, ~7s on 2
+// vCPUs) could not have.
 func TestDeadlineCancelsCompute(t *testing.T) {
 	handlerDone := make(chan time.Time, 1)
 	_, hts := newTestServer(t, Options{
@@ -91,7 +92,7 @@ func TestDeadlineCancelsCompute(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":200000,"seed":1,"napps":100}`)
+	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":200000,"seed":1,"napps":300}`)
 	responded := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d %s, want 504", code, data)
@@ -250,8 +251,8 @@ func TestEndpointTimeoutOverride(t *testing.T) {
 		RequestTimeout:   50 * time.Millisecond,
 		EndpointTimeouts: map[string]time.Duration{"/v1/mc": 30 * time.Second},
 	})
-	// ~1s of compute (100-application draws): over the 50ms global
-	// deadline, far under the 30s override.
+	// ~0.3s of compute on 2 vCPUs (100-application draws): over the
+	// 50ms global deadline, far under the 30s override.
 	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":20000,"seed":4,"napps":100}`)
 	if code != http.StatusOK {
 		t.Fatalf("mc under override: %d %s, want 200", code, data)
