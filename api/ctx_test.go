@@ -25,15 +25,15 @@ func TestCanceledContextStopsEveryEntryPoint(t *testing.T) {
 }
 
 // TestDeadlineStopsLongMonteCarlo checks an expired deadline actually
-// halts the draw loop: a study sized for seconds of compute (200k
-// draws of 100 applications) returns context.DeadlineExceeded in a
-// small fraction of that.
+// halts the draw loop: a study sized for tens of seconds of compute
+// (500k draws of 1000 applications, ~55s on 2 vCPUs and ~27s on 4)
+// returns context.DeadlineExceeded in a small fraction of that.
 func TestDeadlineStopsLongMonteCarlo(t *testing.T) {
 	e := NewEvaluator(4)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.RunMonteCarlo(ctx, MonteCarloRequest{Samples: 200_000, Seed: 1, NApps: 100}.Normalized())
+	_, err := e.RunMonteCarlo(ctx, MonteCarloRequest{Samples: 500_000, Seed: 1, NApps: 1000}.Normalized())
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -97,13 +97,13 @@ func (k Kind) Policy() ReusePolicy {
 	return ReusePolicy{}
 }
 
-// Validate checks that the kind is a known platform class.
+// Validate checks that the kind is a known platform class: every
+// known kind has a policy with a non-empty AppDev class.
 func (k Kind) Validate() error {
-	switch k {
-	case ASIC, FPGA, GPU, CPU:
-		return nil
+	if k.Policy() == (ReusePolicy{}) {
+		return fmt.Errorf("device: unknown kind %q (known: asic, fpga, gpu, cpu)", k)
 	}
-	return fmt.Errorf("device: unknown kind %q (known: asic, fpga, gpu, cpu)", k)
+	return nil
 }
 
 // Spec describes one device.

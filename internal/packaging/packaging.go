@@ -88,14 +88,11 @@ func (r Result) Total() units.Mass {
 func CFP(in Inputs) (Result, error) { return cfp(in, in.DieAreas) }
 
 // SingleDieCFP is CFP for a package around one die of the given area
-// (in.DieAreas must be empty) — the per-device call of every platform.
+// — the per-device call of every platform; in.DieAreas is ignored.
 // CFP's inputs escape through its error paths, so a one-element
 // DieAreas slice built for it costs a heap allocation per call; the
 // die list here lives on the stack.
 func SingleDieCFP(in Inputs, area units.Area) (Result, error) {
-	if len(in.DieAreas) != 0 {
-		return Result{}, fmt.Errorf("packaging: single-die package given %d more dice", len(in.DieAreas))
-	}
 	dies := [1]units.Area{area}
 	return cfp(in, dies[:])
 }

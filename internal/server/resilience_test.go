@@ -78,8 +78,8 @@ func TestSingleflightCoalescesIdenticalMisses(t *testing.T) {
 // compute overrunning its deadline answers a 504 deadline_exceeded
 // envelope promptly, and the workers observe the cancellation — the
 // handler goroutine finishes in seconds where the uncancelled
-// evaluation (200k Monte-Carlo samples of 300 applications, ~7s on 2
-// vCPUs) could not have.
+// evaluation (500k Monte-Carlo samples of 1000 applications, ~55s on
+// 2 vCPUs and ~27s on 4) could not have.
 func TestDeadlineCancelsCompute(t *testing.T) {
 	handlerDone := make(chan time.Time, 1)
 	_, hts := newTestServer(t, Options{
@@ -92,7 +92,7 @@ func TestDeadlineCancelsCompute(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":200000,"seed":1,"napps":300}`)
+	code, _, data := postRaw(t, hts.URL+"/v1/mc", `{"samples":500000,"seed":1,"napps":1000}`)
 	responded := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d %s, want 504", code, data)
