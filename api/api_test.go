@@ -225,12 +225,13 @@ func TestRunMonteCarloDeterministic(t *testing.T) {
 // TestMonteCarloDrawAllocs bounds the heap allocations of one served
 // Monte-Carlo draw (/v1/mc's DNN FPGA:ASIC study): the marginal count
 // of a 1000-draw study over a 500-draw one, so the per-study constant
-// (tornado, percentiles, worker start-up) cancels. The draw resolves
-// its platforms and grid intensities per study, compiles both members
-// on the stack and evaluates totals only, so neither the draw count
-// nor the application count (the 100-application case) may move the
-// per-draw figure; a regression that heap-allocates per draw or per
-// application shows up here as a step change.
+// (member preparation, tornado, percentiles, worker start-up) cancels.
+// The study prepares both members once; a draw reads its parameters
+// from a reused slice, derives only the terms its knobs move on the
+// stack and evaluates totals only, so neither the draw count nor the
+// application count (the 100-application case) may move the per-draw
+// figure; a regression that heap-allocates per draw or per application
+// shows up here as a step change.
 func TestMonteCarloDrawAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")

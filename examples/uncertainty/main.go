@@ -1,30 +1,41 @@
 // Uncertainty: the paper's §5 stresses that CFP outputs inherit the
 // uncertainty of coarse industry inputs (Table 1 lists ranges, not
 // values). This example propagates those ranges through the DNN
-// FPGA-vs-ASIC comparison with a seeded Monte-Carlo study and asks:
-// with honest input uncertainty, how confident is the "FPGA wins at 6
+// FPGA-vs-ASIC comparison with the seeded Monte-Carlo study /v1/mc
+// serves (greenfpga.DomainRatioStudyConfig) and asks: with honest
+// input uncertainty, how confident is the "FPGA wins at 6
 // applications" verdict?
 //
 //	go run ./examples/uncertainty
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"greenfpga"
 )
 
 func main() {
-	domain, err := greenfpga.DomainByName("DNN")
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
+// run writes the study's report to w.
+func run(w io.Writer) error {
+	domain, err := greenfpga.DomainByName("DNN")
+	if err != nil {
+		return err
+	}
 	for _, nApps := range []int{3, 6, 9} {
-		res, err := ratioStudy(domain, nApps)
+		res, err := greenfpga.RunMonteCarlo(greenfpga.DomainRatioStudyConfig(context.Background(),
+			domain, greenfpga.FPGA, greenfpga.ASIC, nApps, 2000, 2024))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wins := 0.0
 		for _, s := range res.Samples {
@@ -32,61 +43,15 @@ func main() {
 				wins++
 			}
 		}
-		fmt.Printf("DNN, %d applications: ratio p5=%.2f p50=%.2f p95=%.2f  P(FPGA wins)=%.0f%%\n",
+		fmt.Fprintf(w, "DNN, %d applications: ratio p5=%.2f p50=%.2f p95=%.2f  P(FPGA wins)=%.0f%%\n",
 			nApps, res.Percentile(5), res.Percentile(50), res.Percentile(95),
 			wins/float64(len(res.Samples))*100)
 		if nApps == 6 {
-			fmt.Println("  tornado (parameter -> |ratio swing| across its 10th-90th percentile):")
+			fmt.Fprintln(w, "  tornado (parameter -> |ratio swing| across its 10th-90th percentile):")
 			for _, e := range res.Tornado {
-				fmt.Printf("    %-22s %.4f\n", e.Param, e.Swing())
+				fmt.Fprintf(w, "    %-22s %.4f\n", e.Param, e.Swing())
 			}
 		}
 	}
-}
-
-// ratioStudy propagates the Table 1 ranges that matter most through
-// the FPGA:ASIC CFP ratio at the reference volume.
-func ratioStudy(d greenfpga.Domain, nApps int) (greenfpga.MCResult, error) {
-	return greenfpga.RunMonteCarlo(greenfpga.MCConfig{
-		Samples: 2000,
-		Seed:    2024,
-		Params: []greenfpga.MCParam{
-			// Deployment utilization is proprietary: +/-50% around the
-			// calibrated duty cycle.
-			{Name: "duty_cycle", Dist: greenfpga.TriangularDist{
-				Lo: d.DutyCycle * 0.5, Mode: d.DutyCycle, Hi: d.DutyCycle * 1.5}},
-			// Table 1 bands.
-			{Name: "t_fe_months", Dist: greenfpga.UniformDist{Lo: 1.5, Hi: 2.5}},
-			{Name: "t_be_months", Dist: greenfpga.UniformDist{Lo: 0.5, Hi: 1.5}},
-			{Name: "recycled_fraction", Dist: greenfpga.UniformDist{Lo: 0, Hi: 1}},
-			{Name: "eol_delta", Dist: greenfpga.UniformDist{Lo: 0.05, Hi: 0.95}},
-			// Project staffing and application lifetime.
-			{Name: "design_staff", Dist: greenfpga.TriangularDist{
-				Lo: d.DesignEngineers * 0.7, Mode: d.DesignEngineers, Hi: d.DesignEngineers * 1.3}},
-			{Name: "app_lifetime_years", Dist: greenfpga.UniformDist{Lo: 1, Hi: 3}},
-		},
-		Model: func(draw map[string]float64) (float64, error) {
-			dd := d
-			dd.DutyCycle = draw["duty_cycle"]
-			dd.DesignEngineers = draw["design_staff"]
-			pair, err := dd.Pair()
-			if err != nil {
-				return 0, err
-			}
-			appDev := pair.FPGA.AppDevProfile()
-			appDev.FrontEnd = greenfpga.Months(draw["t_fe_months"])
-			appDev.BackEnd = greenfpga.Months(draw["t_be_months"])
-			pair.FPGA.AppDev = &appDev
-			for _, p := range []*greenfpga.Platform{&pair.FPGA, &pair.ASIC} {
-				p.RecycledMaterialFraction = draw["recycled_fraction"]
-				p.EOL.RecycleFraction = draw["eol_delta"]
-			}
-			cmp, err := pair.Compare(greenfpga.Uniform("mc", nApps,
-				greenfpga.Years(draw["app_lifetime_years"]), 1e6, 0))
-			if err != nil {
-				return 0, err
-			}
-			return cmp.Ratio, nil
-		},
-	})
+	return nil
 }

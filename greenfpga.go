@@ -35,7 +35,6 @@ import (
 
 	"greenfpga/internal/config"
 	"greenfpga/internal/core"
-	"greenfpga/internal/deploy"
 	"greenfpga/internal/device"
 	"greenfpga/internal/dse"
 	"greenfpga/internal/experiments"
@@ -291,6 +290,18 @@ func RenderExperiment(id string, w io.Writer) error {
 // concurrent use — with results identical across worker counts.
 func RunMonteCarlo(cfg MCConfig) (MCResult, error) { return montecarlo.Run(cfg) }
 
+// The DomainRatioStudyConfig parameters in MCConfig.Params order, so
+// draw[mcDuty] is the drawn duty cycle.
+const (
+	mcDuty = iota
+	mcFrontEnd
+	mcBackEnd
+	mcStaff
+	mcRecycled
+	mcEOLDelta
+	mcLifetime
+)
+
 // DomainRatioStudyConfig builds the Monte-Carlo configuration that
 // propagates the paper's Table 1 parameter ranges through the CFP
 // ratio of two platform kinds of a domain's iso-performance set: the
@@ -301,17 +312,16 @@ func RunMonteCarlo(cfg MCConfig) (MCResult, error) { return montecarlo.Run(cfg) 
 // reconfiguration-flow draws (t_fe/t_be) apply to FPGA-kind members,
 // whose app-development is the paper's hardware flow, while GPU/CPU
 // members keep their software-port profiles. The (FPGA, ASIC) instance
-// is the paper's FPGA:ASIC study. The two set members, the
-// application names and the FPGA-kind app-development profiles are
-// resolved once per configuration; each draw copies the members and
-// sets its seven drawn fields, which is what d.Set() builds for the
-// drawn calibration, and validates the drawn duty cycle and staffing
-// as d.Set() would. A draw reads only the two totals, so it evaluates
-// through core.EvaluateTotals on a scenario and profiles borrowed from
-// a per-configuration scratch pool instead of heap copies. Every
-// worker checks ctx before its draw, so a cancelled study stops
-// evaluating; the draws consumed before cancellation are identical to
-// an uncancelled run's.
+// is the paper's FPGA:ASIC study. The two set members are prepared
+// once per configuration (core.Prepare: every draw-invariant quantity
+// evaluated), with the application names; a draw validates the drawn
+// duty cycle and staffing as d.Set() would, then evaluates each member
+// through core.Prepared.EvaluateTotals at its drawn core.Knobs on a
+// scenario borrowed from a per-configuration scratch pool — the
+// members' totals are Evaluate's on the platforms d.Set() builds for
+// the drawn calibration, bit for bit. Every worker checks ctx before
+// its draw, so a cancelled study stops evaluating; the draws consumed
+// before cancellation are identical to an uncancelled run's.
 // Run it whole with RunMonteCarlo, or in draw ranges through
 // montecarlo.RunRange/Finalize as api.Evaluator.RunMonteCarlo and
 // /v1/mc jobs do — the draws are bit-identical either way.
@@ -321,26 +331,22 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 		clampHi = 1
 	}
 	kinds := [2]DeviceKind{kindA, kindB}
-	var pair [2]Platform
-	var appDev [2]deploy.AppDev
+	var members [2]*core.Prepared
 	set, setErr := d.Set()
 	for i := 0; i < 2 && setErr == nil; i++ {
-		if pair[i], setErr = set.Member(kinds[i]); setErr != nil {
+		var p Platform
+		if p, setErr = set.Member(kinds[i]); setErr != nil {
 			setErr = fmt.Errorf("greenfpga: domain %s: %w", d.Name, setErr)
+		} else if members[i], setErr = core.Prepare(p); setErr != nil {
+			setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[i], setErr)
 		}
-		appDev[i] = pair[i].AppDevProfile()
 	}
 	apps := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0).Apps
-	// A draw's mutable state: the scenario, whose names are fixed per
-	// study and whose lifetime is drawn, and the members' drawn
-	// app-development profiles. Draws run concurrently, so each
-	// borrows its own.
-	type drawScratch struct {
-		apps   []core.Application
-		appDev [2]deploy.AppDev
-	}
+	// A draw's scenario: its names are fixed per study and its lifetime
+	// is drawn. Draws run concurrently, so each borrows its own.
 	scratch := sync.Pool{New: func() any {
-		return &drawScratch{apps: append([]core.Application(nil), apps...)}
+		s := append([]core.Application(nil), apps...)
+		return &s
 	}}
 	return MCConfig{
 		Samples: samples,
@@ -354,40 +360,38 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			{Name: "eol_delta", Dist: UniformDist{Lo: 0.05, Hi: 0.95}},
 			{Name: "app_lifetime_years", Dist: UniformDist{Lo: 1, Hi: 3}},
 		},
-		Model: func(draw map[string]float64) (float64, error) {
+		Model: func(draw []float64) (float64, error) {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
 			dd := d
-			dd.DutyCycle = draw["duty_cycle"]
-			dd.DesignEngineers = draw["design_staff"]
+			dd.DutyCycle = draw[mcDuty]
+			dd.DesignEngineers = draw[mcStaff]
 			if err := dd.Validate(); err != nil {
 				return 0, err
 			}
 			if setErr != nil {
 				return 0, setErr
 			}
-			sc := scratch.Get().(*drawScratch)
+			sc := scratch.Get().(*[]core.Application)
 			defer scratch.Put(sc)
-			s := core.Scenario{Name: "mc", Apps: sc.apps}
-			life := units.YearsOf(draw["app_lifetime_years"])
+			s := core.Scenario{Name: "mc", Apps: *sc}
+			life := units.YearsOf(draw[mcLifetime])
 			for i := range s.Apps {
 				s.Apps[i].Lifetime = life
 			}
 			var totals [2]float64
-			for i, p := range pair {
-				p.DutyCycle = dd.DutyCycle
-				p.DesignEngineers = dd.DesignEngineers
-				if p.Spec.Kind == FPGA {
-					ad := &sc.appDev[i]
-					*ad = appDev[i]
-					ad.FrontEnd = units.Months(draw["t_fe_months"])
-					ad.BackEnd = units.Months(draw["t_be_months"])
-					p.AppDev = ad
+			for i, m := range members {
+				k := m.Knobs()
+				k.DutyCycle = dd.DutyCycle
+				k.DesignEngineers = dd.DesignEngineers
+				k.RecycledMaterialFraction = draw[mcRecycled]
+				k.EOLRecycleFraction = draw[mcEOLDelta]
+				if kinds[i] == FPGA {
+					k.FrontEnd = units.Months(draw[mcFrontEnd])
+					k.BackEnd = units.Months(draw[mcBackEnd])
 				}
-				p.RecycledMaterialFraction = draw["recycled_fraction"]
-				p.EOL.RecycleFraction = draw["eol_delta"]
-				a, err := core.EvaluateTotals(p, s)
+				a, err := m.EvaluateTotals(k, s)
 				if err != nil {
 					return 0, fmt.Errorf("greenfpga: %s side: %w", kinds[i], err)
 				}

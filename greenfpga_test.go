@@ -118,7 +118,7 @@ func TestFacadeMonteCarlo(t *testing.T) {
 		Params: []greenfpga.MCParam{
 			{Name: "x", Dist: greenfpga.UniformDist{Lo: 0, Hi: 2}},
 		},
-		Model: func(d map[string]float64) (float64, error) { return d["x"], nil },
+		Model: func(d []float64) (float64, error) { return d[0], nil },
 	})
 	if err != nil {
 		t.Fatal(err)

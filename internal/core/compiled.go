@@ -4,111 +4,29 @@ import (
 	"fmt"
 	"math"
 
-	"greenfpga/internal/carbon"
 	"greenfpga/internal/units"
 )
 
 // Compiled is a Platform whose expensive, platform-constant quantities
-// have been evaluated once and cached: the per-device embodied cost,
-// the design-phase CFP, the annual per-device operation carbon, and
-// the per-application and per-configuration app-development CFP.
-// Evaluate re-derives all five on every call; a Compiled platform pays
-// for them once, which is the whole constant factor of the paper's
-// dense sweeps (Figs. 4-11 are thousands of evaluations of the same
-// two platforms).
+// have been evaluated once and cached: the prepared draw-invariant
+// quantities (see Prepared) and the terms its own knobs give — the
+// per-device embodied cost, the design-phase CFP, the annual
+// per-device operation carbon, and the per-application and
+// per-configuration app-development CFP. Evaluate re-derives all of
+// them on every call; a Compiled platform pays for them once, which
+// is the whole constant factor of the paper's dense sweeps (Figs.
+// 4-11 are thousands of evaluations of the same two platforms).
 //
 // A Compiled platform is immutable after Compile and safe for
 // concurrent use.
 type Compiled struct {
-	platform Platform
-
+	prep Prepared
+	terms
 	deviceCost DeviceCost
-	design     units.Mass
-	opAnnual   units.Mass
-	perApp     units.Mass
-	perCfg     units.Mass
-
-	// Per-device hardware totals, pre-summed from deviceCost so the
-	// evaluation loops scale three cached scalars instead of re-summing
-	// the fab/packaging/EOL sub-results per application.
-	mfgTotal units.Mass
-	pkgTotal units.Mass
-	eolNet   units.Mass
-
-	// op holds the compiled trace state for platforms sited on an
-	// hourly intensity signal; nil keeps every evaluation on the legacy
-	// scalar path, byte-for-byte.
-	op *tracedOp
 }
 
-// tracedOp is the hour-by-hour operational state compiled once per
-// platform: the trace integrator (shared, cached per region) plus the
-// device's constant hourly energy draws, so each deployment window
-// costs two O(1) antiderivative probes.
-type tracedOp struct {
-	// integ integrates the intensity signal.
-	integ *carbon.Integrator
-	// hourly is the duty-scaled energy drawn per hour (kWh), the
-	// multiplier for uniform (unshifted) operation.
-	hourly float64
-	// shift, when non-nil, replaces uniform operation with the daily
-	// clean-hours packing, and peakHourly (kWh per run-hour, duty
-	// folded into the packed hours) replaces hourly.
-	shift      *carbon.ShiftProfile
-	peakHourly float64
-}
-
-// compileTrace builds the traced operational state when the platform
-// carries an hourly signal. Traced platforms also re-anchor opAnnual
-// to the first trace year so the cached "annual operation" constant
-// reports the signal-integrated figure.
-func (c *Compiled) compileTrace() error {
-	p := &c.platform
-	integ := p.UseIntegrator
-	if integ == nil {
-		if len(p.UseTrace) == 0 {
-			return nil
-		}
-		var err error
-		integ, err = carbon.NewIntegrator(p.UseTrace)
-		if err != nil {
-			return err
-		}
-	}
-	pue := p.PUE
-	if pue == 0 {
-		pue = 1
-	}
-	op := &tracedOp{
-		integ:  integ,
-		hourly: p.Spec.PeakPower.Scale(p.DutyCycle * pue).OverHours(1).KWh(),
-	}
-	// A zero duty cycle draws nothing; shifting nothing is nothing.
-	if p.UseShift == carbon.ShiftDaily && p.DutyCycle > 0 {
-		sp, err := integ.Shift(p.DutyCycle * 24)
-		if err != nil {
-			return err
-		}
-		op.shift = sp
-		op.peakHourly = p.Spec.PeakPower.Scale(pue).OverHours(1).KWh()
-	}
-	c.op = op
-	c.opAnnual = c.opWindow(0, 1)
-	return nil
-}
-
-// opWindow is the operational carbon of one device over the
-// wall-clock window [start, start+span) years under the compiled
-// trace state.
-func (c *Compiled) opWindow(startYears, spanYears float64) units.Mass {
-	if c.op.shift != nil {
-		return units.Mass(c.op.peakHourly * c.op.shift.Window(startYears*units.HoursPerYear, spanYears*units.HoursPerYear))
-	}
-	return units.Mass(c.op.hourly * c.op.integ.Window(startYears*units.HoursPerYear, spanYears*units.HoursPerYear))
-}
-
-// Compile validates the platform and caches the five platform-constant
-// quantities Evaluate would otherwise re-derive per call.
+// Compile validates the platform and caches its prepared quantities
+// and the terms Evaluate would otherwise re-derive per call.
 func Compile(p Platform) (*Compiled, error) {
 	c := new(Compiled)
 	if err := compile(p, c); err != nil {
@@ -117,50 +35,24 @@ func Compile(p Platform) (*Compiled, error) {
 	return c, nil
 }
 
-// compile is Compile into caller-owned storage, so one-shot callers
-// (the package-level Evaluate and EvaluateTotals) keep the Compiled on
-// their stack.
+// compile is Compile into caller-owned storage, so the package-level
+// Evaluate keeps the Compiled on its stack. It runs both stages: the
+// draw-invariant prepare, then the knob stage at the platform's own
+// knobs.
 func compile(p Platform, c *Compiled) error {
-	if err := p.Validate(); err != nil {
+	if err := c.prep.prepare(p); err != nil {
 		return err
 	}
-	dc, err := p.DeviceCost()
+	dc, err := c.prep.derive(c.prep.Knobs(), &c.terms)
 	if err != nil {
 		return err
 	}
-	des, err := p.DesignCFP()
-	if err != nil {
-		return err
-	}
-	opAnnual, err := p.operation().AnnualCarbon()
-	if err != nil {
-		return err
-	}
-	ad := p.appDev()
-	perApp, err := ad.PerApplication()
-	if err != nil {
-		return err
-	}
-	perCfg, err := ad.PerConfiguration()
-	if err != nil {
-		return err
-	}
-	*c = Compiled{
-		platform:   p,
-		deviceCost: dc,
-		design:     des,
-		opAnnual:   opAnnual,
-		perApp:     perApp,
-		perCfg:     perCfg,
-		mfgTotal:   dc.Manufacturing.Total(),
-		pkgTotal:   dc.Packaging.Total(),
-		eolNet:     dc.EOL.Net(),
-	}
-	return c.compileTrace()
+	c.deviceCost = dc
+	return nil
 }
 
 // Platform returns the compiled platform inputs.
-func (c *Compiled) Platform() Platform { return c.platform }
+func (c *Compiled) Platform() Platform { return c.prep.platform }
 
 // DeviceCost returns the cached per-device embodied cost.
 func (c *Compiled) DeviceCost() DeviceCost { return c.deviceCost }
@@ -171,30 +63,26 @@ func (c *Compiled) DesignCFP() units.Mass { return c.design }
 // AnnualOperationCarbon returns the cached C_op for one device-year.
 func (c *Compiled) AnnualOperationCarbon() units.Mass { return c.opAnnual }
 
-// addHardware spreads devices' worth of per-device embodied cost into
-// the breakdown.
-func (c *Compiled) addHardware(b *Breakdown, devices float64) {
-	b.Manufacturing += c.mfgTotal.Scale(devices)
-	b.Packaging += c.pkgTotal.Scale(devices)
-	b.EOL += c.eolNet.Scale(devices)
-}
-
 // Evaluate computes the total CFP of running the scenario on the
 // compiled platform, selecting Eq. 1 or Eq. 2 by the device kind's
 // reuse policy (Eq. 1 for per-application embodied carbon, Eq. 2 for
 // reusable fleets). Results are identical to Evaluate on the
 // uncompiled platform.
-func (c *Compiled) Evaluate(s Scenario) (Assessment, error) { return c.evaluate(s, true) }
+func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
+	return c.prep.evaluate(s, &c.terms, true)
+}
 
-// evaluate is the one Eq. 1/Eq. 2 loop behind Evaluate and
-// EvaluateTotals; perApp selects whether it records the
-// per-application contributions. Nothing else depends on it.
-func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
+// evaluate is the one Eq. 1/Eq. 2 loop behind Compiled.Evaluate and
+// Prepared.EvaluateTotals: it evaluates the scenario on the prepared
+// platform with the scalar terms t, and perApp selects whether it
+// records the per-application contributions. Nothing else depends on
+// it.
+func (pp *Prepared) evaluate(s Scenario, t *terms, perApp bool) (Assessment, error) {
 	if err := s.Validate(); err != nil {
 		return Assessment{}, err
 	}
 
-	p := &c.platform
+	p := &pp.platform
 	out := Assessment{
 		Platform:            p.Spec.Name,
 		Kind:                p.Spec.Kind,
@@ -212,7 +100,8 @@ func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
 
 	if !p.Spec.Kind.Policy().Reusable {
 		// Eq. 1: every application pays design + hardware + deployment.
-		for _, app := range s.Apps {
+		for i := range s.Apps {
+			app := &s.Apps[i]
 			n, err := p.Spec.Required(app.SizeGates)
 			if err != nil {
 				return Assessment{}, err
@@ -222,10 +111,10 @@ func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
 			if p.ChipLifetime > 0 && app.Lifetime > p.ChipLifetime {
 				gens = int(math.Ceil(app.Lifetime.Years() / p.ChipLifetime.Years()))
 			}
-			b := c.appBreakdown(app, devices, s.StrictEq2, at)
+			b := t.appBreakdown(app, devices, s.StrictEq2, at)
 			at += app.Lifetime.Years()
-			b.Design = c.design
-			c.addHardware(&b, devices*float64(gens))
+			b.Design = t.design
+			t.addHardware(&b, devices*float64(gens))
 			if perApp {
 				out.PerApp = append(out.PerApp, AppAssessment{
 					Name: app.Name, DevicesPerUnit: n, Breakdown: b,
@@ -261,13 +150,14 @@ func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
 	out.FleetSize = fleet
 	out.HardwareGenerations = gens
 	out.DevicesManufactured = fleet * float64(gens)
-	out.Breakdown.Design = c.design
-	c.addHardware(&out.Breakdown, fleet*float64(gens))
+	out.Breakdown.Design = t.design
+	t.addHardware(&out.Breakdown, fleet*float64(gens))
 
-	for _, app := range s.Apps {
+	for i := range s.Apps {
+		app := &s.Apps[i]
 		n, _ := p.Spec.Required(app.SizeGates) // the sizing pass returned any error
 		devices := app.Volume * float64(n)
-		b := c.appBreakdown(app, devices, s.StrictEq2, at)
+		b := t.appBreakdown(app, devices, s.StrictEq2, at)
 		at += app.Lifetime.Years()
 		if perApp {
 			out.PerApp = append(out.PerApp, AppAssessment{
@@ -277,30 +167,6 @@ func (c *Compiled) evaluate(s Scenario, perApp bool) (Assessment, error) {
 		out.Breakdown = out.Breakdown.Add(b)
 	}
 	return out, nil
-}
-
-// appBreakdown is one application's deployment contribution (operation
-// + app development + configuration), shared by both equations.
-// startYears places the residency window [start, start+Lifetime) on
-// the wall clock; it only matters on traced platforms — the scalar
-// path is position-independent and stays the legacy expression
-// verbatim, which is what keeps scalar regions bit-for-bit stable.
-func (c *Compiled) appBreakdown(app Application, devices float64, strictEq2 bool, startYears float64) Breakdown {
-	var b Breakdown
-	if c.op != nil {
-		b.Operation = c.opWindow(startYears, app.Lifetime.Years()).Scale(devices * app.utilization())
-	} else {
-		b.Operation = c.opAnnual.Scale(devices * app.Lifetime.Years() * app.utilization())
-	}
-	appDevCost := c.perApp
-	cfgCost := c.perCfg.Scale(devices)
-	if strictEq2 {
-		appDevCost = appDevCost.Scale(app.Lifetime.Years())
-		cfgCost = cfgCost.Scale(app.Lifetime.Years())
-	}
-	b.AppDevelopment = appDevCost
-	b.Configuration = cfgCost
-	return b
 }
 
 // EvaluateUniform computes the assessment of a uniform scenario — n
@@ -326,7 +192,7 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 		return Assessment{}, err
 	}
 
-	p := &c.platform
+	p := &c.prep.platform
 	perUnit, err := p.Spec.Required(sizeGates)
 	if err != nil {
 		return Assessment{}, err
@@ -344,11 +210,11 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 		if p.ChipLifetime > 0 && lifetime > p.ChipLifetime {
 			gens = int(math.Ceil(lifetime.Years() / p.ChipLifetime.Years()))
 		}
-		b := c.appBreakdown(app, devices, false, 0)
+		b := c.appBreakdown(&app, devices, false, 0)
 		b.Design = c.design
 		c.addHardware(&b, devices*float64(gens))
 		out.Breakdown = b.Scale(float64(n))
-		if c.op != nil {
+		if c.traced() {
 			out.Breakdown.Operation = c.uniformOperation(n, lifetime, devices*app.utilization())
 		}
 		out.DevicesManufactured = devices * float64(gens) * float64(n)
@@ -375,8 +241,8 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 	out.FleetSize = devices
 	out.HardwareGenerations = gens
 	out.DevicesManufactured = devices * float64(gens)
-	out.Breakdown = c.appBreakdown(app, devices, false, 0).Scale(float64(n))
-	if c.op != nil {
+	out.Breakdown = c.appBreakdown(&app, devices, false, 0).Scale(float64(n))
+	if c.traced() {
 		out.Breakdown.Operation = c.uniformOperation(n, lifetime, devices*app.utilization())
 	}
 	out.Breakdown.Design = c.design

@@ -226,32 +226,105 @@ func TestQuickCompiledMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: Compiled.Evaluate diverges from reference:\ngot  %+v\nwant %+v", i, got, want)
 		}
-		checkTotalsMatch(t, p, s, want)
+		pp, err := Prepare(p)
+		if err != nil {
+			t.Fatalf("iter %d: Prepare: %v", i, err)
+		}
+		checkTotalsMatch(t, pp, pp.Knobs(), s, want)
 	}
 }
 
-// checkTotalsMatch asserts that EvaluateTotals reproduces want — an
-// Evaluate result for (p, s) — bit for bit with PerApp left nil.
-func checkTotalsMatch(t *testing.T, p Platform, s Scenario, want Assessment) {
+// checkTotalsMatch asserts that the prepared platform evaluated at
+// knobs k reproduces want — an Evaluate result for the platform with k
+// applied, on s — bit for bit with PerApp left nil.
+func checkTotalsMatch(t *testing.T, pp *Prepared, k Knobs, s Scenario, want Assessment) {
 	t.Helper()
 	if len(want.PerApp) != len(s.Apps) {
 		t.Fatalf("Evaluate listed %d of %d applications", len(want.PerApp), len(s.Apps))
 	}
 	want.PerApp = nil
-	got, err := EvaluateTotals(p, s)
+	got, err := pp.EvaluateTotals(k, s)
 	if err != nil {
-		t.Fatalf("EvaluateTotals: %v", err)
+		t.Fatalf("Prepared.EvaluateTotals: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("EvaluateTotals diverges from Evaluate:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("Prepared.EvaluateTotals diverges from Evaluate at %+v:\ngot  %+v\nwant %+v", k, got, want)
 	}
 }
 
-// TestEvaluateTotalsMatchesEvaluate pins the totals-only mode of the
-// Eq. 1/Eq. 2 loop to Evaluate across every kind, traced platforms
-// with and without daily shifting, a chip-lifetime cap, strict Eq. 2
-// accounting, and scenario lengths on both sides of any small-buffer
-// threshold.
+// withKnobs is the platform p with knobs k applied: the platform
+// Prepared.EvaluateTotals(k, s) must evaluate like.
+func withKnobs(p Platform, k Knobs) Platform {
+	p.DutyCycle = k.DutyCycle
+	p.DesignEngineers = k.DesignEngineers
+	p.RecycledMaterialFraction = k.RecycledMaterialFraction
+	p.EOL.RecycleFraction = k.EOLRecycleFraction
+	ad := p.appDev()
+	ad.FrontEnd, ad.BackEnd = k.FrontEnd, k.BackEnd
+	p.AppDev = &ad
+	return p
+}
+
+// randomKnobs draws an in-range knob vector, zero staffing and zero
+// delta (the model defaults) included.
+func randomKnobs(r *rand.Rand) Knobs {
+	k := Knobs{
+		DutyCycle:                r.Float64(),
+		DesignEngineers:          r.Float64() * 600,
+		RecycledMaterialFraction: r.Float64(),
+		EOLRecycleFraction:       r.Float64(),
+		FrontEnd:                 units.Months(r.Float64() * 3),
+		BackEnd:                  units.Months(r.Float64() * 2),
+	}
+	switch r.Intn(8) {
+	case 0:
+		k.DesignEngineers = 0
+	case 1:
+		k.EOLRecycleFraction = 0
+	case 2:
+		k.DutyCycle = 0
+	}
+	return k
+}
+
+// checkKnobErrors asserts that out-of-range knobs fail the prepared
+// path with the error Evaluate reports on the platform with them
+// applied, never with a number.
+func checkKnobErrors(t *testing.T, pp *Prepared, p Platform, s Scenario) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		set  func(*Knobs)
+	}{
+		{"duty 1.2", func(k *Knobs) { k.DutyCycle = 1.2 }},
+		{"duty -0.1", func(k *Knobs) { k.DutyCycle = -0.1 }},
+		{"staff -1", func(k *Knobs) { k.DesignEngineers = -1 }},
+		{"rho -0.1", func(k *Knobs) { k.RecycledMaterialFraction = -0.1 }},
+		{"rho 1.1", func(k *Knobs) { k.RecycledMaterialFraction = 1.1 }},
+		{"delta 1.5", func(k *Knobs) { k.EOLRecycleFraction = 1.5 }},
+		{"delta -0.5", func(k *Knobs) { k.EOLRecycleFraction = -0.5 }},
+		{"negative FE", func(k *Knobs) { k.FrontEnd = units.Months(-1) }},
+		{"negative BE", func(k *Knobs) { k.BackEnd = units.Months(-0.5) }},
+	} {
+		k := pp.Knobs()
+		c.set(&k)
+		got, err := pp.EvaluateTotals(k, s)
+		if err == nil {
+			t.Fatalf("%s: prepared draw returned %v, want an error", c.name, got.Total())
+		}
+		if _, want := Evaluate(withKnobs(p, k), s); want == nil || want.Error() != err.Error() {
+			t.Fatalf("%s: prepared draw error %q, Evaluate error %v", c.name, err, want)
+		}
+	}
+}
+
+// TestEvaluateTotalsMatchesEvaluate pins the prepared-member path — one
+// Prepare per platform, then a knob stage and the totals-only Eq.
+// 1/Eq. 2 loop per draw — to Evaluate on the platform with the drawn
+// knobs applied, across every kind, traced platforms with and without
+// daily shifting, a chip-lifetime cap, strict Eq. 2 accounting, and
+// scenario lengths on both sides of any small-buffer threshold, with
+// no tolerance; out-of-range knobs must fail exactly like Evaluate.
 func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	variants := []struct {
@@ -271,6 +344,11 @@ func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
 			p := randomPlatform(t, r, kind)
 			p.ChipLifetime = 0
 			v.set(&p)
+			pp, err := Prepare(p)
+			if err != nil {
+				t.Fatalf("%s/%s: Prepare: %v", kind, v.name, err)
+			}
+			var scenarios []Scenario
 			for _, napps := range []int{1, 5, 17, 100} {
 				for _, strict := range []bool{false, true} {
 					s := Scenario{Name: "totals", StrictEq2: strict}
@@ -282,15 +360,92 @@ func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
 							SizeGates: r.Float64() * 2e8,
 						})
 					}
-					want, err := Evaluate(p, s)
-					if err != nil {
-						t.Fatalf("%s/%s/%d apps: Evaluate: %v", kind, v.name, napps, err)
-					}
-					checkTotalsMatch(t, p, s, want)
+					scenarios = append(scenarios, s)
 				}
 			}
+			for i := 0; i < 20; i++ {
+				k := randomKnobs(r)
+				for _, s := range scenarios {
+					want, err := Evaluate(withKnobs(p, k), s)
+					if err != nil {
+						t.Fatalf("%s/%s/%d apps: Evaluate: %v", kind, v.name, len(s.Apps), err)
+					}
+					checkTotalsMatch(t, pp, k, s, want)
+				}
+			}
+			checkKnobErrors(t, pp, p, scenarios[0])
 		}
 	}
+}
+
+// FuzzPreparedDraw checks the prepared-member path against Evaluate
+// over random platforms and knob vectors, in range or not: the totals
+// must agree bit for bit, and an out-of-range knob must fail both
+// paths with the same error.
+func FuzzPreparedDraw(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(5), false, 0.5, 300.0, 0.3, 0.25, 2.0, 1.0)
+	f.Add(int64(2), uint8(1), uint8(1), uint8(17), true, 0.9, 0.0, 1.0, 0.0, 1.5, 0.5)
+	f.Add(int64(3), uint8(2), uint8(2), uint8(1), false, 0.1, 120.0, 0.0, 0.95, 0.0, 0.0)
+	f.Add(int64(4), uint8(3), uint8(3), uint8(100), true, 1.0, 450.0, 0.5, 0.05, 2.5, 1.5)
+	f.Add(int64(5), uint8(1), uint8(0), uint8(5), false, 1.2, 300.0, 0.3, 0.25, 2.0, 1.0)
+	f.Add(int64(6), uint8(0), uint8(0), uint8(5), false, 0.5, 300.0, -0.1, 0.25, 2.0, 1.0)
+	f.Add(int64(7), uint8(1), uint8(3), uint8(5), true, 0.5, 300.0, 0.3, 1.5, 2.0, 1.0)
+	f.Add(int64(8), uint8(1), uint8(1), uint8(5), false, 0.5, 300.0, 0.3, 0.25, -2.0, 1.0)
+	f.Add(int64(9), uint8(2), uint8(0), uint8(5), false, 0.5, -3.0, 0.3, 0.25, 2.0, 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, kind, variant, napps uint8, strict bool,
+		duty, staff, rho, delta, feMonths, beMonths float64) {
+		for _, x := range []float64{duty, staff, rho, delta, feMonths, beMonths} {
+			if math.IsNaN(x) || math.Abs(x) > 1e6 {
+				t.Skip("knobs are finite and of model scale")
+			}
+		}
+		r := rand.New(rand.NewSource(seed))
+		kinds := device.Kinds()
+		p := randomPlatform(t, r, kinds[int(kind)%len(kinds)])
+		switch variant % 4 {
+		case 1:
+			p.UseTrace = diurnalTrace(24 * 28)
+		case 2:
+			p.UseTrace = diurnalTrace(24 * 28)
+			p.UseShift = carbon.ShiftDaily
+		case 3:
+			p.ChipLifetime = units.YearsOf(0.5 + r.Float64()*5)
+		}
+		s := Scenario{Name: "fuzz", StrictEq2: strict}
+		for i := 0; i < 1+int(napps)%100; i++ {
+			s.Apps = append(s.Apps, Application{
+				Name:      "app",
+				Lifetime:  units.YearsOf(0.2 + r.Float64()*3),
+				Volume:    1 + r.Float64()*1e6,
+				SizeGates: r.Float64() * 2e8,
+			})
+		}
+		k := Knobs{
+			DutyCycle:                duty,
+			DesignEngineers:          staff,
+			RecycledMaterialFraction: rho,
+			EOLRecycleFraction:       delta,
+			FrontEnd:                 units.Months(feMonths),
+			BackEnd:                  units.Months(beMonths),
+		}
+		pp, err := Prepare(p)
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		want, wantErr := Evaluate(withKnobs(p, k), s)
+		got, err := pp.EvaluateTotals(k, s)
+		switch {
+		case wantErr != nil || err != nil:
+			if wantErr == nil || err == nil || wantErr.Error() != err.Error() {
+				t.Fatalf("errors differ: prepared %v, Evaluate %v", err, wantErr)
+			}
+		default:
+			want.PerApp = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("prepared draw diverges from Evaluate at %+v:\ngot  %+v\nwant %+v", k, got, want)
+			}
+		}
+	})
 }
 
 // relClose compares masses to within a tiny relative tolerance — the

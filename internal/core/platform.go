@@ -114,8 +114,8 @@ func (p Platform) Validate() error {
 	if err := p.Spec.Validate(); err != nil {
 		return err
 	}
-	if p.DutyCycle < 0 || p.DutyCycle > 1 {
-		return fmt.Errorf("core: duty cycle %g outside [0,1]", p.DutyCycle)
+	if err := (Knobs{DutyCycle: p.DutyCycle, DesignEngineers: p.DesignEngineers}).validate(); err != nil {
+		return err
 	}
 	if len(p.UseTrace) > 0 {
 		if err := p.UseTrace.Validate(); err != nil {
@@ -136,9 +136,6 @@ func (p Platform) Validate() error {
 	if p.ChipLifetime.Years() < 0 {
 		return fmt.Errorf("core: negative chip lifetime %v", p.ChipLifetime)
 	}
-	if p.DesignEngineers < 0 {
-		return fmt.Errorf("core: negative design staffing %g", p.DesignEngineers)
-	}
 	if p.DesignDuration.Years() < 0 {
 		return fmt.Errorf("core: negative design duration %v", p.DesignDuration)
 	}
@@ -147,7 +144,7 @@ func (p Platform) Validate() error {
 
 // appDev resolves the application-development profile for the
 // platform's device kind, following the kind's reuse policy.
-func (p Platform) appDev() deploy.AppDev {
+func (p *Platform) appDev() deploy.AppDev {
 	if p.AppDev != nil {
 		return *p.AppDev
 	}
@@ -155,7 +152,7 @@ func (p Platform) appDev() deploy.AppDev {
 }
 
 // operation builds the per-device operation profile.
-func (p Platform) operation() deploy.OperationProfile {
+func (p *Platform) operation() deploy.OperationProfile {
 	return deploy.OperationProfile{
 		PeakPower: p.Spec.PeakPower,
 		DutyCycle: p.DutyCycle,
@@ -193,69 +190,138 @@ func (d DeviceCost) Total() units.Mass {
 
 // DeviceCost evaluates the per-device embodied models.
 func (p Platform) DeviceCost() (DeviceCost, error) {
+	var d preparedDevice
+	if err := d.prepare(&p); err != nil {
+		return DeviceCost{}, err
+	}
+	return d.cost(p.RecycledMaterialFraction, p.EOL.RecycleFraction)
+}
+
+// preparedDevice is DeviceCost's draw-invariant half: the prepared
+// die, the yield override, the package, and the device mass and EOL
+// parameters end of life is charged on.
+type preparedDevice struct {
+	die           fab.Die
+	yieldOverride float64
+	pkg           packaging.Result
+	massKg        float64
+	eol           eol.Params
+}
+
+func (d *preparedDevice) prepare(p *Platform) error {
 	yc := p.Yield
 	if p.YieldOverride > 0 {
 		// A fixed yield is expressed as a zero-defect Poisson model and
-		// explicit scaling below.
+		// explicit scaling in cost.
 		yc = yield.Calculator{Model: yield.Poisson, DefectDensity: 0}
 	}
-	mfg, err := fab.PerDie(fab.Inputs{
-		Node:                     p.Spec.Node,
-		DieArea:                  p.Spec.DieArea,
-		FabMix:                   p.FabMix,
-		RenewableTarget:          p.FabRenewableTarget,
-		RecycledMaterialFraction: p.RecycledMaterialFraction,
-		Yield:                    yc,
+	die, err := fab.Prepare(fab.Inputs{
+		Node:            p.Spec.Node,
+		DieArea:         p.Spec.DieArea,
+		FabMix:          p.FabMix,
+		RenewableTarget: p.FabRenewableTarget,
+		Yield:           yc,
 	})
 	if err != nil {
-		return DeviceCost{}, err
+		return err
 	}
-	if p.YieldOverride > 0 {
-		inv := 1 / p.YieldOverride
-		mfg.EnergyCarbon = mfg.EnergyCarbon.Scale(inv)
-		mfg.GasCarbon = mfg.GasCarbon.Scale(inv)
-		mfg.MaterialCarbon = mfg.MaterialCarbon.Scale(inv)
-		mfg.FabEnergy = mfg.FabEnergy.Scale(inv)
-		mfg.Yield = p.YieldOverride
-	}
-
 	pkg, err := packaging.SingleDieCFP(packaging.Inputs{
 		Style:             p.PackagingStyle,
 		PackageAreaFactor: p.PackagingAreaFactor,
 		AssemblyMix:       p.FabMix,
 	}, p.Spec.DieArea)
 	if err != nil {
-		return DeviceCost{}, err
+		return err
 	}
+	*d = preparedDevice{
+		die:           die,
+		yieldOverride: p.YieldOverride,
+		pkg:           pkg,
+		massKg:        eol.EstimateDeviceMassKg(pkg.PackageArea),
+		eol:           p.EOL,
+	}
+	return nil
+}
 
-	endOfLife, err := eol.CFP(eol.EstimateDeviceMassKg(pkg.PackageArea), p.EOL)
+// cost is the per-device embodied cost at recycled-material fraction
+// rho (Eq. 5) and EOL recycle fraction delta (Eq. 6).
+func (d *preparedDevice) cost(rho, delta float64) (DeviceCost, error) {
+	mfg, err := d.die.PerDie(rho)
 	if err != nil {
 		return DeviceCost{}, err
 	}
-	return DeviceCost{Manufacturing: mfg, Packaging: pkg, EOL: endOfLife}, nil
+	if d.yieldOverride > 0 {
+		inv := 1 / d.yieldOverride
+		mfg.EnergyCarbon = mfg.EnergyCarbon.Scale(inv)
+		mfg.GasCarbon = mfg.GasCarbon.Scale(inv)
+		mfg.MaterialCarbon = mfg.MaterialCarbon.Scale(inv)
+		mfg.FabEnergy = mfg.FabEnergy.Scale(inv)
+		mfg.Yield = d.yieldOverride
+	}
+	params := d.eol
+	params.RecycleFraction = delta
+	endOfLife, err := eol.CFP(d.massKg, params)
+	if err != nil {
+		return DeviceCost{}, err
+	}
+	return DeviceCost{Manufacturing: mfg, Packaging: d.pkg, EOL: endOfLife}, nil
 }
 
 // DesignCFP evaluates the design-phase model (Eq. 4), or the legacy
 // gates-only model when the ablation switch is set.
 func (p Platform) DesignCFP() (units.Mass, error) {
+	var d preparedDesign
+	if err := d.prepare(&p); err != nil {
+		return 0, err
+	}
+	return d.cfp(p.DesignEngineers)
+}
+
+// preparedDesign is DesignCFP's draw-invariant half: the design
+// house's carbon per employee-year and the project without its
+// staffing, or the legacy model's staffing-free figure.
+type preparedDesign struct {
+	cEmp      units.Mass
+	proj      design.Project
+	legacy    bool
+	legacyCFP units.Mass
+}
+
+func (d *preparedDesign) prepare(p *Platform) error {
 	if p.UseLegacyDesignModel {
-		return p.LegacyModel.CFP(p.Spec.SiliconGates())
+		cfp, err := p.LegacyModel.CFP(p.Spec.SiliconGates())
+		*d = preparedDesign{legacy: true, legacyCFP: cfp}
+		return err
 	}
 	org := p.DesignOrg
 	if org.Employees == 0 {
 		org = design.DefaultOrg
 	}
+	cEmp, err := org.CarbonPerEmployeeYear()
+	if err != nil {
+		return err
+	}
 	proj := design.Project{
-		Engineers:      p.DesignEngineers,
 		Duration:       p.DesignDuration,
 		Gates:          p.Spec.SiliconGates(),
 		ReferenceGates: p.DesignReferenceGates,
 	}
-	if proj.Engineers == 0 {
-		proj.Engineers = DefaultDesignEngineers
-	}
 	if proj.Duration == 0 {
 		proj.Duration = units.YearsOf(DefaultDesignYears)
 	}
-	return design.CFP(org, proj)
+	*d = preparedDesign{cEmp: cEmp, proj: proj}
+	return nil
+}
+
+// cfp is the design-phase CFP with the given staffing N_emp,des.
+func (d *preparedDesign) cfp(engineers float64) (units.Mass, error) {
+	if d.legacy {
+		return d.legacyCFP, nil
+	}
+	proj := d.proj
+	proj.Engineers = engineers
+	if proj.Engineers == 0 {
+		proj.Engineers = DefaultDesignEngineers
+	}
+	return proj.CFP(d.cEmp)
 }

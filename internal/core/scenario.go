@@ -217,18 +217,3 @@ func Evaluate(p Platform, s Scenario) (Assessment, error) {
 	}
 	return c.Evaluate(s)
 }
-
-// EvaluateTotals is Evaluate without the per-application list: PerApp
-// is nil and nothing else differs — the Breakdown, FleetSize,
-// DevicesManufactured and HardwareGenerations are Evaluate's bit for
-// bit, summed by the same loop in the same order. It is the one-shot
-// path of a Monte-Carlo draw, whose platform changes every call and
-// whose model reads only the totals, so it skips the O(n) PerApp
-// slice.
-func EvaluateTotals(p Platform, s Scenario) (Assessment, error) {
-	var c Compiled
-	if err := compile(p, &c); err != nil {
-		return Assessment{}, err
-	}
-	return c.evaluate(s, false)
-}

@@ -243,7 +243,7 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 		return ScheduleAssessment{}, err
 	}
 
-	p := &c.platform
+	p := &c.prep.platform
 	out := ScheduleAssessment{
 		Assessment: Assessment{
 			Platform:            p.Spec.Name,
@@ -278,7 +278,7 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 			if p.ChipLifetime > 0 && app.Lifetime > p.ChipLifetime {
 				gens = int(math.Ceil(app.Lifetime.Years() / p.ChipLifetime.Years()))
 			}
-			b := c.appBreakdown(app, devices, sch.StrictEq2, dep.Start.Years())
+			b := c.appBreakdown(&app, devices, sch.StrictEq2, dep.Start.Years())
 			b.Design = c.design
 			c.addHardware(&b, devices*float64(gens))
 			out.PerApp = append(out.PerApp, AppAssessment{
@@ -317,7 +317,7 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 	c.addHardware(&out.Breakdown, fleet*float64(gens))
 
 	for i, dep := range sch.Deployments {
-		b := c.appBreakdown(dep.App, demand[i], sch.StrictEq2, dep.Start.Years())
+		b := c.appBreakdown(&dep.App, demand[i], sch.StrictEq2, dep.Start.Years())
 		out.PerApp = append(out.PerApp, AppAssessment{
 			Name: dep.App.Name, DevicesPerUnit: counts[i], Breakdown: b,
 		})
@@ -357,7 +357,7 @@ func (cs CompiledSet) CompareSchedule(sch Schedule) (ScheduleComparison, error) 
 	for i, c := range cs {
 		a, err := c.EvaluateSchedule(sch)
 		if err != nil {
-			return ScheduleComparison{}, fmt.Errorf("core: platform %s: %w", c.platform.Spec.Name, err)
+			return ScheduleComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
 		}
 		out.Assessments[i] = a
 		plain[i] = a.Assessment

@@ -67,7 +67,7 @@ type CompiledSet []*Compiled
 func (cs CompiledSet) Set() Set {
 	out := make(Set, len(cs))
 	for i, c := range cs {
-		out[i] = c.platform
+		out[i] = c.prep.platform
 	}
 	return out
 }
@@ -131,7 +131,7 @@ func (cs CompiledSet) Compare(s Scenario) (SetComparison, error) {
 	for i, c := range cs {
 		a, err := c.Evaluate(s)
 		if err != nil {
-			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.platform.Spec.Name, err)
+			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
 		}
 		as[i] = a
 	}
@@ -148,7 +148,7 @@ func (cs CompiledSet) CompareUniform(n int, lifetime units.Years, volume, sizeGa
 	for i, c := range cs {
 		a, err := c.EvaluateUniform(n, lifetime, volume, sizeGates)
 		if err != nil {
-			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.platform.Spec.Name, err)
+			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
 		}
 		as[i] = a
 	}
@@ -162,11 +162,11 @@ func (cs CompiledSet) CompareUniform(n int, lifetime units.Years, volume, sizeGa
 func DiffUniformBetween(a, b *Compiled, n int, lifetime units.Years, volume, sizeGates float64) (float64, error) {
 	at, err := a.UniformTotal(n, lifetime, volume, sizeGates)
 	if err != nil {
-		return 0, fmt.Errorf("core: platform %s: %w", a.platform.Spec.Name, err)
+		return 0, fmt.Errorf("core: platform %s: %w", a.prep.platform.Spec.Name, err)
 	}
 	bt, err := b.UniformTotal(n, lifetime, volume, sizeGates)
 	if err != nil {
-		return 0, fmt.Errorf("core: platform %s: %w", b.platform.Spec.Name, err)
+		return 0, fmt.Errorf("core: platform %s: %w", b.prep.platform.Spec.Name, err)
 	}
 	return at.Kilograms() - bt.Kilograms(), nil
 }
@@ -175,7 +175,7 @@ func DiffUniformBetween(a, b *Compiled, n int, lifetime units.Years, volume, siz
 // generations, which makes the a-minus-b diff piecewise in the swept
 // parameter instead of affine.
 func cappedEither(a, b *Compiled) bool {
-	return a.platform.ChipLifetime > 0 || b.platform.ChipLifetime > 0
+	return a.prep.platform.ChipLifetime > 0 || b.prep.platform.ChipLifetime > 0
 }
 
 // CrossoverNumAppsBetween finds the smallest N_app in 1..maxN at which

@@ -216,7 +216,7 @@ func TestRegionIntegratorReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.op == nil || ca.op == nil || cf.op.integ != ca.op.integ {
+	if cf.op.integ == nil || cf.op.integ != ca.op.integ {
 		t.Error("compiled platforms did not share the cached region integrator")
 	}
 }

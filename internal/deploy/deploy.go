@@ -52,8 +52,8 @@ func (p OperationProfile) Validate() error {
 	return nil
 }
 
-// intensity resolves the use-phase carbon intensity.
-func (p OperationProfile) intensity() (units.CarbonIntensity, error) {
+// Intensity resolves the use-phase carbon intensity C_src,use.
+func (p OperationProfile) Intensity() (units.CarbonIntensity, error) {
 	return grid.SiteIntensity(p.UseMix, grid.RegionWorld, 0)
 }
 
@@ -71,11 +71,16 @@ func (p OperationProfile) AnnualEnergy() (units.Energy, error) {
 
 // AnnualCarbon is C_op for one device over one year.
 func (p OperationProfile) AnnualCarbon() (units.Mass, error) {
-	e, err := p.AnnualEnergy()
+	ci, err := p.Intensity()
 	if err != nil {
 		return 0, err
 	}
-	ci, err := p.intensity()
+	return p.AnnualCarbonAt(ci)
+}
+
+// AnnualCarbonAt is AnnualCarbon on a grid of resolved intensity ci.
+func (p OperationProfile) AnnualCarbonAt(ci units.CarbonIntensity) (units.Mass, error) {
+	e, err := p.AnnualEnergy()
 	if err != nil {
 		return 0, err
 	}
@@ -174,14 +179,24 @@ func (a AppDev) Validate() error {
 	return nil
 }
 
-// intensity resolves the development-phase carbon intensity.
-func (a AppDev) intensity() (units.CarbonIntensity, error) {
+// Intensity resolves the development-phase carbon intensity C_src.
+func (a AppDev) Intensity() (units.CarbonIntensity, error) {
 	return grid.SiteIntensity(a.Mix, grid.RegionUSA, 0)
 }
 
 // PerApplication is the one-time development carbon of a single
 // application: (T_FE + T_BE) x ComputePower x C_src.
 func (a AppDev) PerApplication() (units.Mass, error) {
+	ci, err := a.Intensity()
+	if err != nil {
+		return 0, err
+	}
+	return a.PerApplicationAt(ci)
+}
+
+// PerApplicationAt is PerApplication on a grid of resolved intensity
+// ci.
+func (a AppDev) PerApplicationAt(ci units.CarbonIntensity) (units.Mass, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err
 	}
@@ -189,25 +204,27 @@ func (a AppDev) PerApplication() (units.Mass, error) {
 	if span == 0 || a.ComputePower == 0 {
 		return 0, nil
 	}
-	ci, err := a.intensity()
-	if err != nil {
-		return 0, err
-	}
 	return a.ComputePower.Over(span).Carbon(ci), nil
 }
 
 // PerConfiguration is the carbon of configuring one deployed device
 // once: T_config x ConfigPower x C_src.
 func (a AppDev) PerConfiguration() (units.Mass, error) {
+	ci, err := a.Intensity()
+	if err != nil {
+		return 0, err
+	}
+	return a.PerConfigurationAt(ci)
+}
+
+// PerConfigurationAt is PerConfiguration on a grid of resolved
+// intensity ci.
+func (a AppDev) PerConfigurationAt(ci units.CarbonIntensity) (units.Mass, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err
 	}
 	if a.ConfigTime == 0 || a.ConfigPower == 0 {
 		return 0, nil
-	}
-	ci, err := a.intensity()
-	if err != nil {
-		return 0, err
 	}
 	return a.ConfigPower.Over(a.ConfigTime).Carbon(ci), nil
 }

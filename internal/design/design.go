@@ -95,13 +95,20 @@ func (p Project) Validate() error {
 	return nil
 }
 
-// CFP evaluates Eq. 4 for a project at a design house.
+// CFP evaluates Eq. 4 for a project at a design house: the house's
+// C_emp, then the project's share of it.
 func CFP(o Org, p Project) (units.Mass, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
 	cEmp, err := o.CarbonPerEmployeeYear()
 	if err != nil {
+		return 0, err
+	}
+	return p.CFP(cEmp)
+}
+
+// CFP is the project's Eq. 4 footprint at a house whose carbon per
+// employee-year is cEmp.
+func (p Project) CFP(cEmp units.Mass) (units.Mass, error) {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
 	ratio := 1.0

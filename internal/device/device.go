@@ -168,7 +168,7 @@ func (s Spec) SiliconGates() float64 {
 // capacity ganging always require exactly one device (the paper's
 // footnote for ASICs; GPUs and CPUs scale in software), as do
 // applications of unspecified (zero) size.
-func (s Spec) Required(appGates float64) (int, error) {
+func (s *Spec) Required(appGates float64) (int, error) {
 	if appGates < 0 {
 		return 0, fmt.Errorf("device %s: negative application size %g", s.Name, appGates)
 	}

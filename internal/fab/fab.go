@@ -64,25 +64,45 @@ func (r Result) Total() units.Mass {
 	return r.EnergyCarbon + r.GasCarbon + r.MaterialCarbon
 }
 
-// PerDie evaluates the manufacturing model for one good die.
+// PerDie evaluates the manufacturing model for one good die: the
+// draw-invariant Prepare, then Die.PerDie at the recycled-material
+// fraction.
 func PerDie(in Inputs) (Result, error) {
-	if err := in.Node.Validate(); err != nil {
+	d, err := Prepare(in)
+	if err != nil {
 		return Result{}, err
 	}
-	if in.DieArea.MM2() <= 0 {
-		return Result{}, fmt.Errorf("fab: die area must be positive, got %v", in.DieArea)
+	return d.PerDie(in.RecycledMaterialFraction)
+}
+
+// Die is one die prepared for manufacture: everything of PerDie but
+// Eq. 5's recycled-material sourcing. Its Result carries the fab-grid
+// intensity, the yield and the energy and gas terms; the material
+// term waits for rho.
+type Die struct {
+	res     Result
+	effArea units.Area
+	mpaNew  units.MassPerArea
+	saving  float64
+}
+
+// Prepare validates every input but the recycled-material fraction
+// (which it ignores), resolves the fab grid and the yield, and
+// evaluates the energy and gas terms.
+func Prepare(in Inputs) (Die, error) {
+	if err := in.Node.Validate(); err != nil {
+		return Die{}, err
 	}
-	if in.RecycledMaterialFraction < 0 || in.RecycledMaterialFraction > 1 {
-		return Result{}, fmt.Errorf("fab: recycled-material fraction %g outside [0,1]",
-			in.RecycledMaterialFraction)
+	if in.DieArea.MM2() <= 0 {
+		return Die{}, fmt.Errorf("fab: die area must be positive, got %v", in.DieArea)
 	}
 	if in.RenewableTarget < 0 || in.RenewableTarget > 1 {
-		return Result{}, fmt.Errorf("fab: renewable target %g outside [0,1]", in.RenewableTarget)
+		return Die{}, fmt.Errorf("fab: renewable target %g outside [0,1]", in.RenewableTarget)
 	}
 
 	ci, err := grid.SiteIntensity(in.FabMix, grid.RegionTaiwan, in.RenewableTarget)
 	if err != nil {
-		return Result{}, err
+		return Die{}, err
 	}
 
 	yc := in.Yield
@@ -95,26 +115,38 @@ func PerDie(in Inputs) (Result, error) {
 	}
 	y, err := yc.DieYield(in.DieArea)
 	if err != nil {
-		return Result{}, err
+		return Die{}, err
 	}
 	if y <= 0 {
-		return Result{}, fmt.Errorf("fab: yield collapsed to %g for %v", y, in.DieArea)
+		return Die{}, fmt.Errorf("fab: yield collapsed to %g for %v", y, in.DieArea)
 	}
 
 	// Effective processed area per good die.
 	effArea := in.DieArea.Scale(1 / y)
 
 	energy := in.Node.EPA.Times(effArea)
-	rho := in.RecycledMaterialFraction
-	mpaEff := in.Node.MPANew.KgPerCM2() *
-		(rho*(1-in.Node.RecycledMaterialSaving) + (1 - rho))
-
-	return Result{
-		EnergyCarbon:   energy.Carbon(ci),
-		GasCarbon:      in.Node.GPA.Times(effArea),
-		MaterialCarbon: units.KgPerCM2(mpaEff).Times(effArea),
-		FabEnergy:      energy,
-		Yield:          y,
-		FabIntensity:   ci,
+	return Die{
+		res: Result{
+			EnergyCarbon: energy.Carbon(ci),
+			GasCarbon:    in.Node.GPA.Times(effArea),
+			FabEnergy:    energy,
+			Yield:        y,
+			FabIntensity: ci,
+		},
+		effArea: effArea,
+		mpaNew:  in.Node.MPANew,
+		saving:  in.Node.RecycledMaterialSaving,
 	}, nil
+}
+
+// PerDie completes the prepared die's footprint at recycled-material
+// fraction rho (Eq. 5).
+func (d *Die) PerDie(rho float64) (Result, error) {
+	if rho < 0 || rho > 1 {
+		return Result{}, fmt.Errorf("fab: recycled-material fraction %g outside [0,1]", rho)
+	}
+	mpaEff := d.mpaNew.KgPerCM2() * (rho*(1-d.saving) + (1 - rho))
+	r := d.res
+	r.MaterialCarbon = units.KgPerCM2(mpaEff).Times(d.effArea)
+	return r, nil
 }

@@ -89,18 +89,20 @@ func (f Fixed) Mean() float64 { return float64(f) }
 
 // Param is a named uncertain input.
 type Param struct {
-	// Name keys the draw map handed to the model.
+	// Name labels the parameter in the tornado ranking; the model reads
+	// the parameter's value at its index in Config.Params, not by name.
 	Name string
 	// Dist is the parameter's distribution.
 	Dist Dist
 }
 
-// Model evaluates the quantity of interest for one parameter draw.
-// Run invokes it from multiple goroutines concurrently (one draw per
-// call, each with its own map), so the function must be safe for
-// concurrent use: don't mutate captured state without synchronization,
-// and don't retain the draw map past the call.
-type Model func(draw map[string]float64) (float64, error)
+// Model evaluates the quantity of interest for one parameter draw:
+// draw[i] is the value of Config.Params[i]. Run invokes it from
+// multiple goroutines concurrently (one draw per call, each worker
+// with its own slice), so the function must be safe for concurrent
+// use: don't mutate captured state without synchronization, and don't
+// retain or modify the draw slice past the call.
+type Model func(draw []float64) (float64, error)
 
 // Config describes one Monte-Carlo study.
 type Config struct {
@@ -172,8 +174,8 @@ func Validate(cfg Config) (int, error) {
 		if p.Name == "" {
 			return 0, fmt.Errorf("montecarlo: unnamed parameter")
 		}
-		if p.Dist == nil {
-			return 0, fmt.Errorf("montecarlo: parameter %q has no distribution", p.Name)
+		if err := checkDist(p.Dist); err != nil {
+			return 0, fmt.Errorf("montecarlo: parameter %q: %w", p.Name, err)
 		}
 		if seen[p.Name] {
 			return 0, fmt.Errorf("montecarlo: duplicate parameter %q", p.Name)
@@ -188,6 +190,37 @@ func Validate(cfg Config) (int, error) {
 		return 0, fmt.Errorf("montecarlo: negative sample count %d", samples)
 	}
 	return samples, nil
+}
+
+// checkDist rejects a missing distribution and a malformed built-in
+// one, whose samples would fall outside its declared range: a
+// non-finite bound, Lo > Hi, or a triangular mode outside [Lo, Hi].
+func checkDist(d Dist) error {
+	var lo, mode, hi float64
+	switch d := d.(type) {
+	case nil:
+		return fmt.Errorf("no distribution")
+	case Fixed:
+		lo, mode, hi = float64(d), float64(d), float64(d)
+	case Uniform:
+		lo, mode, hi = d.Lo, d.Lo, d.Hi
+	case Triangular:
+		lo, mode, hi = d.Lo, d.Mode, d.Hi
+	default:
+		return nil
+	}
+	for _, b := range [...]float64{lo, mode, hi} {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return fmt.Errorf("non-finite bound in %T %+v", d, d)
+		}
+	}
+	if lo > hi {
+		return fmt.Errorf("Lo above Hi in %T %+v", d, d)
+	}
+	if mode < lo || mode > hi {
+		return fmt.Errorf("mode outside [Lo, Hi] in %T %+v", d, d)
+	}
+	return nil
 }
 
 // Run executes the study.
@@ -256,18 +289,16 @@ func Finalize(cfg Config, samples []float64) (Result, error) {
 
 	// Tornado: vary one parameter across its 10-90 band with the rest
 	// at their means.
-	means := make(map[string]float64, len(cfg.Params))
-	for _, p := range cfg.Params {
-		means[p.Name] = p.Dist.Mean()
+	means := make([]float64, len(cfg.Params))
+	for i, p := range cfg.Params {
+		means[i] = p.Dist.Mean()
 	}
-	for _, p := range cfg.Params {
+	d := make([]float64, len(means))
+	for i, p := range cfg.Params {
 		entry := Sensitivity{Param: p.Name}
 		for _, q := range []float64{0.1, 0.9} {
-			d := make(map[string]float64, len(means))
-			for k, v := range means {
-				d[k] = v
-			}
-			d[p.Name] = p.Dist.Quantile(q)
+			copy(d, means)
+			d[i] = p.Dist.Quantile(q)
 			v, err := cfg.Model(d)
 			if err != nil {
 				return Result{}, fmt.Errorf("montecarlo: tornado %s@%g: %w", p.Name, q, err)
@@ -300,14 +331,14 @@ const drawChunk = 16
 func evalDraws(cfg Config, base int, out []float64) error {
 	return pool.RunWorkers(len(out), drawChunk, func() pool.Eval {
 		// Per-worker scratch: the generator state is reset per draw,
-		// the draw map is reused across draws.
+		// the draw slice is reused across draws.
 		src := &splitmix{}
 		rng := rand.New(src)
-		draw := make(map[string]float64, len(cfg.Params))
+		draw := make([]float64, len(cfg.Params))
 		return func(i int) error {
 			src.state = subSeed(cfg.Seed, base+i)
-			for _, p := range cfg.Params {
-				draw[p.Name] = p.Dist.Sample(rng)
+			for j, p := range cfg.Params {
+				draw[j] = p.Dist.Sample(rng)
 			}
 			v, err := cfg.Model(draw)
 			if err != nil {

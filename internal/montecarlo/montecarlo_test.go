@@ -76,8 +76,8 @@ func TestRunReproducible(t *testing.T) {
 		Params:  []Param{{Name: "a", Dist: Uniform{1, 3}}, {Name: "b", Dist: Uniform{0, 1}}},
 		Samples: 500,
 		Seed:    42,
-		Model: func(d map[string]float64) (float64, error) {
-			return d["a"] + 10*d["b"], nil
+		Model: func(d []float64) (float64, error) {
+			return d[0] + 10*d[1], nil
 		},
 	}
 	r1, err := Run(cfg)
@@ -110,8 +110,8 @@ func TestRunIndependentOfWorkerCount(t *testing.T) {
 		Params:  []Param{{Name: "a", Dist: Uniform{1, 3}}, {Name: "b", Dist: Triangular{0, 1, 4}}},
 		Samples: 2000,
 		Seed:    11,
-		Model: func(d map[string]float64) (float64, error) {
-			return d["a"]*d["b"] + d["a"], nil
+		Model: func(d []float64) (float64, error) {
+			return d[0]*d[1] + d[0], nil
 		},
 	}
 	parallel, err := Run(cfg)
@@ -144,12 +144,12 @@ func TestRunFirstErrorDeterministic(t *testing.T) {
 			Params:  []Param{{Name: "a", Dist: Uniform{0, 1}}},
 			Samples: 500,
 			Seed:    3,
-			Model: func(d map[string]float64) (float64, error) {
+			Model: func(d []float64) (float64, error) {
 				calls.Add(1)
-				if d["a"] > 0.5 {
+				if d[0] > 0.5 {
 					return 0, errors.New("boom")
 				}
-				return d["a"], nil
+				return d[0], nil
 			},
 		})
 		if err == nil {
@@ -188,7 +188,7 @@ func TestRunStatistics(t *testing.T) {
 		Params:  []Param{{Name: "a", Dist: Uniform{0, 10}}},
 		Samples: 50000,
 		Seed:    7,
-		Model:   func(d map[string]float64) (float64, error) { return d["a"], nil },
+		Model:   func(d []float64) (float64, error) { return d[0], nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +217,8 @@ func TestTornadoRanking(t *testing.T) {
 		},
 		Samples: 100,
 		Seed:    1,
-		Model: func(d map[string]float64) (float64, error) {
-			return d["small"] + d["big"], nil
+		Model: func(d []float64) (float64, error) {
+			return d[0] + d[1], nil
 		},
 	})
 	if err != nil {
@@ -237,7 +237,7 @@ func TestTornadoRanking(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	ok := func(map[string]float64) (float64, error) { return 0, nil }
+	ok := func([]float64) (float64, error) { return 0, nil }
 	cases := []Config{
 		{Params: []Param{{Name: "a", Dist: Fixed(1)}}}, // nil model
 		{Model: ok}, // no params
@@ -254,7 +254,7 @@ func TestRunErrors(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := Run(Config{
 		Params: []Param{{Name: "a", Dist: Fixed(1)}},
-		Model:  func(map[string]float64) (float64, error) { return 0, boom },
+		Model:  func([]float64) (float64, error) { return 0, boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("model error not propagated: %v", err)
@@ -275,7 +275,7 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		Params:  []Param{{Name: "a", Dist: Uniform{-5, 5}}},
 		Samples: 300,
 		Seed:    9,
-		Model:   func(d map[string]float64) (float64, error) { return d["a"] * d["a"], nil },
+		Model:   func(d []float64) (float64, error) { return d[0] * d[0], nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +306,8 @@ func TestRunRangeFinalizeMatchesRun(t *testing.T) {
 		Params:  []Param{{Name: "a", Dist: Uniform{1, 3}}, {Name: "b", Dist: Triangular{0, 1, 4}}},
 		Samples: 1777,
 		Seed:    77,
-		Model: func(d map[string]float64) (float64, error) {
-			return d["a"]*d["b"] + d["a"], nil
+		Model: func(d []float64) (float64, error) {
+			return d[0]*d[1] + d[0], nil
 		},
 	}
 	whole, err := Run(cfg)
@@ -358,7 +358,7 @@ func TestRunRangeBounds(t *testing.T) {
 	cfg := Config{
 		Params:  []Param{{Name: "a", Dist: Uniform{0, 1}}},
 		Samples: 10,
-		Model:   func(d map[string]float64) (float64, error) { return d["a"], nil },
+		Model:   func(d []float64) (float64, error) { return d[0], nil },
 	}
 	for _, r := range [][2]int{{-1, 5}, {5, 4}, {0, 11}} {
 		if _, err := RunRange(cfg, r[0], r[1]); err == nil {
@@ -367,5 +367,47 @@ func TestRunRangeBounds(t *testing.T) {
 	}
 	if _, err := Finalize(cfg, make([]float64, 9)); err == nil {
 		t.Error("Finalize accepted a short sample vector")
+	}
+}
+
+// TestValidateRejectsMalformedDists pins the distribution checks: a
+// built-in distribution whose bounds are non-finite, reversed, or
+// whose triangular mode lies outside them would sample outside its
+// declared range (Triangular{0, 2, 1} draws up to sqrt(2)), so
+// Validate rejects it; well-formed and degenerate ones pass.
+func TestValidateRejectsMalformedDists(t *testing.T) {
+	ok := func([]float64) (float64, error) { return 0, nil }
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name string
+		dist Dist
+		want string // error substring; "" means valid
+	}{
+		{"uniform", Uniform{Lo: 0, Hi: 1}, ""},
+		{"uniform point", Uniform{Lo: 2, Hi: 2}, ""},
+		{"triangular", Triangular{Lo: 0, Mode: 0.5, Hi: 1}, ""},
+		{"triangular mode at lo", Triangular{Lo: 0, Mode: 0, Hi: 1}, ""},
+		{"triangular mode at hi", Triangular{Lo: 0, Mode: 1, Hi: 1}, ""},
+		{"triangular point", Triangular{Lo: 5, Mode: 5, Hi: 5}, ""},
+		{"fixed", Fixed(-3), ""},
+		{"nil", nil, "no distribution"},
+		{"uniform reversed", Uniform{Lo: 1, Hi: 0}, "Lo above Hi"},
+		{"triangular reversed", Triangular{Lo: 1, Mode: 0.5, Hi: 0}, "Lo above Hi"},
+		{"triangular mode above hi", Triangular{Lo: 0, Mode: 2, Hi: 1}, "mode outside"},
+		{"triangular mode below lo", Triangular{Lo: 0, Mode: -1, Hi: 1}, "mode outside"},
+		{"uniform infinite hi", Uniform{Lo: 0, Hi: inf}, "non-finite"},
+		{"uniform NaN lo", Uniform{Lo: nan, Hi: 1}, "non-finite"},
+		{"triangular NaN mode", Triangular{Lo: 0, Mode: nan, Hi: 1}, "non-finite"},
+		{"triangular infinite lo", Triangular{Lo: -inf, Mode: 0, Hi: 1}, "non-finite"},
+		{"fixed infinite", Fixed(inf), "non-finite"},
+		{"fixed NaN", Fixed(nan), "non-finite"},
+	} {
+		_, err := Validate(Config{Model: ok, Params: []Param{{Name: "a", Dist: c.dist}}})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
