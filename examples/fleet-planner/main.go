@@ -10,19 +10,28 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"greenfpga"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	domain, err := greenfpga.DomainByName("DNN")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pair, err := domain.Pair()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	portfolio := []greenfpga.Application{
@@ -40,18 +49,19 @@ func main() {
 		Apps: portfolio,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("Optimal platform assignment (DNN iso-performance pair):")
+	fmt.Fprintln(w, "Optimal platform assignment (DNN iso-performance pair):")
 	for _, a := range plan.Assignments {
-		fmt.Printf("  %-22s -> %-4s  (%v)\n", a.App, a.Platform, a.Cost)
+		fmt.Fprintf(w, "  %-22s -> %-4s  (%v)\n", a.App, a.Platform, a.Cost)
 	}
-	fmt.Printf("  %-22s    %-4s  (%v)\n", "shared fleet embodied", "", plan.FleetEmbodied)
+	fmt.Fprintf(w, "  %-22s    %-4s  (%v)\n", "shared fleet embodied", "", plan.FleetEmbodied)
 
-	fmt.Printf("\nPortfolio total: %v  (exact solve: %v)\n", plan.Total, plan.Exact)
-	fmt.Printf("All-ASIC baseline: %v\n", plan.AllASIC)
-	fmt.Printf("All-FPGA baseline: %v\n", plan.AllFPGA)
-	fmt.Printf("Savings vs best single-platform strategy: %v\n", plan.Savings())
-	fmt.Printf("%d of %d applications ride the FPGA fleet.\n", plan.FPGAApps(), len(portfolio))
+	fmt.Fprintf(w, "\nPortfolio total: %v  (exact solve: %v)\n", plan.Total, plan.Exact)
+	fmt.Fprintf(w, "All-ASIC baseline: %v\n", plan.AllASIC)
+	fmt.Fprintf(w, "All-FPGA baseline: %v\n", plan.AllFPGA)
+	fmt.Fprintf(w, "Savings vs best single-platform strategy: %v\n", plan.Savings())
+	fmt.Fprintf(w, "%d of %d applications ride the FPGA fleet.\n", plan.FPGAApps(), len(portfolio))
+	return nil
 }

@@ -6,16 +6,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"greenfpga"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	// A 7nm edge-inference ASIC: one chip design per application.
 	node, err := greenfpga.NodeByName("7nm")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	asic := greenfpga.Platform{
 		Spec: greenfpga.DeviceSpec{
@@ -44,44 +53,45 @@ func main() {
 
 	pair := greenfpga.Pair{FPGA: fpga, ASIC: asic}
 
-	fmt.Println("Edge accelerator, 100K units, 1.5-year application generations:")
+	fmt.Fprintln(w, "Edge accelerator, 100K units, 1.5-year application generations:")
 	for _, nApps := range []int{1, 2, 4, 6, 8} {
 		scenario := greenfpga.Uniform("edge", nApps, greenfpga.Years(1.5), 100e3, 0)
 		cmp, err := pair.Compare(scenario)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		verdict := "ASIC wins"
 		if cmp.Ratio < 1 {
 			verdict = "FPGA wins"
 		}
-		fmt.Printf("  %d application(s): FPGA %s vs ASIC %s  (ratio %.2f, %s)\n",
+		fmt.Fprintf(w, "  %d application(s): FPGA %s vs ASIC %s  (ratio %.2f, %s)\n",
 			nApps, cmp.FPGA.Total(), cmp.ASIC.Total(), cmp.Ratio, verdict)
 	}
 
 	// Where exactly does reconfigurability start paying off?
 	n, found, err := pair.CrossoverNumApps(greenfpga.Years(1.5), 100e3, 0, 20)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if found {
-		fmt.Printf("\nA2F crossover: the FPGA is the lower-carbon choice from %d applications on.\n", n)
+		fmt.Fprintf(w, "\nA2F crossover: the FPGA is the lower-carbon choice from %d applications on.\n", n)
 	} else {
-		fmt.Println("\nNo crossover within 20 applications: the ASIC stays ahead.")
+		fmt.Fprintln(w, "\nNo crossover within 20 applications: the ASIC stays ahead.")
 	}
 
 	// Peek inside one assessment.
 	res, err := greenfpga.Evaluate(fpga, greenfpga.Uniform("edge", 4, greenfpga.Years(1.5), 100e3, 0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b := res.Breakdown
-	fmt.Printf("\nFPGA breakdown over 4 applications (%g devices):\n", res.DevicesManufactured)
-	fmt.Printf("  design        %v\n", b.Design)
-	fmt.Printf("  manufacturing %v\n", b.Manufacturing)
-	fmt.Printf("  packaging     %v\n", b.Packaging)
-	fmt.Printf("  end-of-life   %v\n", b.EOL)
-	fmt.Printf("  operation     %v\n", b.Operation)
-	fmt.Printf("  app-dev+cfg   %v\n", b.AppDevelopment+b.Configuration)
-	fmt.Printf("  total         %v\n", res.Total())
+	fmt.Fprintf(w, "\nFPGA breakdown over 4 applications (%g devices):\n", res.DevicesManufactured)
+	fmt.Fprintf(w, "  design        %v\n", b.Design)
+	fmt.Fprintf(w, "  manufacturing %v\n", b.Manufacturing)
+	fmt.Fprintf(w, "  packaging     %v\n", b.Packaging)
+	fmt.Fprintf(w, "  end-of-life   %v\n", b.EOL)
+	fmt.Fprintf(w, "  operation     %v\n", b.Operation)
+	fmt.Fprintf(w, "  app-dev+cfg   %v\n", b.AppDevelopment+b.Configuration)
+	fmt.Fprintf(w, "  total         %v\n", res.Total())
+	return nil
 }
