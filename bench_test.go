@@ -102,14 +102,14 @@ func BenchmarkEvaluateFPGA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := core.Uniform("bench", 5, units.YearsOf(2), 1e6, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Evaluate(pr.FPGA, s); err != nil {
+		if _, err := core.Evaluate(set[0], s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,14 +121,14 @@ func BenchmarkEvaluateASIC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := core.Uniform("bench", 5, units.YearsOf(2), 1e6, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Evaluate(pr.ASIC, s); err != nil {
+		if _, err := core.Evaluate(set[1], s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,13 +140,13 @@ func BenchmarkDeviceCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pr.FPGA.DeviceCost(); err != nil {
+		if _, err := set[0].DeviceCost(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,11 +160,11 @@ func BenchmarkSweep2D(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cp, err := pr.Compile()
+	cs, err := set[:2].Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,11 +173,12 @@ func BenchmarkSweep2D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := sweep.Run2D(x, y, func(xv, yv float64) (units.Mass, units.Mass, error) {
-			c, err := cp.CompareUniform(int(xv+0.5), units.YearsOf(yv), 1e6, 0)
+			f, err := cs[0].UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0)
 			if err != nil {
 				return 0, 0, err
 			}
-			return c.FPGA.Total(), c.ASIC.Total(), nil
+			a, err := cs[1].UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0)
+			return f, a, err
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -193,7 +194,7 @@ func BenchmarkSweep2DUncompiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,11 +203,16 @@ func BenchmarkSweep2DUncompiled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := sweep.Run2D(x, y, func(xv, yv float64) (units.Mass, units.Mass, error) {
-			c, err := pr.Compare(core.Uniform("g", int(xv+0.5), units.YearsOf(yv), 1e6, 0))
+			s := core.Uniform("g", int(xv+0.5), units.YearsOf(yv), 1e6, 0)
+			f, err := core.Evaluate(set[0], s)
 			if err != nil {
 				return 0, 0, err
 			}
-			return c.FPGA.Total(), c.ASIC.Total(), nil
+			a, err := core.Evaluate(set[1], s)
+			if err != nil {
+				return 0, 0, err
+			}
+			return f.Total(), a.Total(), nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -214,25 +220,40 @@ func BenchmarkSweep2DUncompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossoverSolvers measures the three §4.2 solvers together.
+// BenchmarkCrossoverSolvers measures the three §4.2 solvers together,
+// each compiling the FPGA/ASIC pair afresh as a one-off query would.
 func BenchmarkCrossoverSolvers(b *testing.B) {
 	d, err := isoperf.ByName("DNN")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
+	compile := func() (fpga, asic *core.Compiled) {
+		fpga, err := core.Compile(set[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		asic, err = core.Compile(set[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fpga, asic
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pr.CrossoverNumApps(units.YearsOf(2), 1e6, 0, 20); err != nil {
+		fpga, asic := compile()
+		if _, _, err := core.CrossoverNumAppsBetween(fpga, asic, units.YearsOf(2), 1e6, 0, 20); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := pr.CrossoverLifetime(5, 1e6, 0, units.YearsOf(0.2), units.YearsOf(2.5)); err != nil {
+		fpga, asic = compile()
+		if _, _, err := core.CrossoverLifetimeBetween(fpga, asic, 5, 1e6, 0, units.YearsOf(0.2), units.YearsOf(2.5)); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := pr.CrossoverVolume(5, units.YearsOf(2), 0, 1e3, 1e7); err != nil {
+		fpga, asic = compile()
+		if _, _, err := core.CrossoverVolumeBetween(fpga, asic, 5, units.YearsOf(2), 0, 1e3, 1e7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,23 +267,23 @@ func BenchmarkCrossoverSolversCompiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cp, err := pr.Compile()
+	cs, err := set[:2].Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.CrossoverNumApps(units.YearsOf(2), 1e6, 0, 20); err != nil {
+		if _, _, err := core.CrossoverNumAppsBetween(cs[0], cs[1], units.YearsOf(2), 1e6, 0, 20); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := cp.CrossoverLifetime(5, 1e6, 0, units.YearsOf(0.2), units.YearsOf(2.5)); err != nil {
+		if _, _, err := core.CrossoverLifetimeBetween(cs[0], cs[1], 5, 1e6, 0, units.YearsOf(0.2), units.YearsOf(2.5)); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := cp.CrossoverVolume(5, units.YearsOf(2), 0, 1e3, 1e7); err != nil {
+		if _, _, err := core.CrossoverVolumeBetween(cs[0], cs[1], 5, units.YearsOf(2), 0, 1e3, 1e7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,13 +297,13 @@ func BenchmarkCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := greenfpga.Compile(pr.FPGA); err != nil {
+		if _, err := greenfpga.Compile(set[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,11 +316,11 @@ func BenchmarkCompiledEvaluateFPGA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := greenfpga.Compile(pr.FPGA)
+	c, err := greenfpga.Compile(set[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,11 +339,11 @@ func BenchmarkEvaluateUniformFPGA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := greenfpga.Compile(pr.FPGA)
+	c, err := greenfpga.Compile(set[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,9 +357,9 @@ func BenchmarkEvaluateUniformFPGA(b *testing.B) {
 
 // BenchmarkCompareSet measures the N-way comparison path: one
 // four-platform CompiledSet.CompareUniform (four O(1) evaluations plus
-// the full pairwise ratio matrix) against the same four evaluations
-// expressed as two sequential CompiledPair.CompareUniform calls — the
-// shape a caller was forced into before platform sets existed.
+// the full pairwise ratio matrix) against the same four
+// EvaluateUniform calls made one by one — the cost of the set's
+// ratio matrix and winner over the bare evaluations.
 func BenchmarkCompareSet(b *testing.B) {
 	d, err := isoperf.ByName("DNN")
 	if err != nil {
@@ -362,15 +383,12 @@ func BenchmarkCompareSet(b *testing.B) {
 			}
 		}
 	})
-	fpgaASIC := core.CompiledPair{FPGA: cs[0], ASIC: cs[1]}
-	gpuCPU := core.CompiledPair{FPGA: cs[2], ASIC: cs[3]}
 	b.Run("pairs2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fpgaASIC.CompareUniform(5, units.YearsOf(2), 1e6, 0); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gpuCPU.CompareUniform(5, units.YearsOf(2), 1e6, 0); err != nil {
-				b.Fatal(err)
+			for _, c := range cs {
+				if _, err := c.EvaluateUniform(5, units.YearsOf(2), 1e6, 0); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -212,8 +212,11 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	pr := greenfpga.Pair{FPGA: fpga, ASIC: asic}
-	cmp, err := pr.Compare(greenfpga.Uniform("compare", *napps,
+	pair, err := greenfpga.CompileSet(greenfpga.PlatformSet{fpga, asic})
+	if err != nil {
+		return err
+	}
+	cmp, err := pair.Compare(greenfpga.Uniform("compare", *napps,
 		greenfpga.Years(*lifetime), *volume, 0))
 	if err != nil {
 		return err
@@ -225,7 +228,7 @@ func cmdCompare(args []string) error {
 	for _, side := range []struct {
 		name string
 		b    greenfpga.Breakdown
-	}{{*fpgaName, cmp.FPGA.Breakdown}, {*asicName, cmp.ASIC.Breakdown}} {
+	}{{*fpgaName, cmp.Assessments[0].Breakdown}, {*asicName, cmp.Assessments[1].Breakdown}} {
 		t.AddRow(side.name,
 			side.b.Design.String(), side.b.Manufacturing.String(),
 			side.b.Packaging.String(), side.b.EOL.String(),
@@ -237,10 +240,11 @@ func cmdCompare(args []string) error {
 		return err
 	}
 	verdict := "the FPGA fleet is the more sustainable choice"
-	if cmp.Ratio >= 1 {
+	ratio := cmp.Ratio(0, 1)
+	if ratio >= 1 {
 		verdict = "the per-application ASICs are the more sustainable choice"
 	}
-	fmt.Printf("\nFPGA:ASIC ratio = %.3f — %s\n", cmp.Ratio, verdict)
+	fmt.Printf("\nFPGA:ASIC ratio = %.3f — %s\n", ratio, verdict)
 	return nil
 }
 

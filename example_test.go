@@ -15,11 +15,15 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pair, err := domain.Pair()
+	set, err := domain.Set()
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, found, err := pair.CrossoverNumApps(greenfpga.Years(2), 1e6, 0, 20)
+	pair, err := greenfpga.CompileSet(set[:2]) // FPGA, ASIC
+	if err != nil {
+		log.Fatal(err)
+	}
+	n, found, err := greenfpga.CrossoverNumAppsBetween(pair[0], pair[1], greenfpga.Years(2), 1e6, 0, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,18 +42,22 @@ func ExampleDomains() {
 	// Crypto 1x area 1x power
 }
 
-// ExamplePair_CrossoverLifetime solves the paper's experiment-B
+// ExampleCrossoverLifetimeBetween solves the paper's experiment-B
 // question: below which application lifetime do FPGAs win?
-func ExamplePair_CrossoverLifetime() {
+func ExampleCrossoverLifetimeBetween() {
 	domain, err := greenfpga.DomainByName("DNN")
 	if err != nil {
 		log.Fatal(err)
 	}
-	pair, err := domain.Pair()
+	set, err := domain.Set()
 	if err != nil {
 		log.Fatal(err)
 	}
-	tstar, found, err := pair.CrossoverLifetime(5, 1e6, 0,
+	pair, err := greenfpga.CompileSet(set[:2]) // FPGA, ASIC
+	if err != nil {
+		log.Fatal(err)
+	}
+	tstar, found, err := greenfpga.CrossoverLifetimeBetween(pair[0], pair[1], 5, 1e6, 0,
 		greenfpga.Years(0.2), greenfpga.Years(2.5))
 	if err != nil {
 		log.Fatal(err)

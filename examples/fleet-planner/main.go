@@ -29,7 +29,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pair, err := domain.Pair()
+	set, err := domain.Set() // FPGA, ASIC, then GPU and CPU
 	if err != nil {
 		return err
 	}
@@ -44,8 +44,8 @@ func run(w io.Writer) error {
 	}
 
 	plan, err := greenfpga.OptimizePortfolio(greenfpga.PlannerInputs{
-		FPGA: pair.FPGA,
-		ASIC: pair.ASIC,
+		FPGA: set[0],
+		ASIC: set[1],
 		Apps: portfolio,
 	})
 	if err != nil {

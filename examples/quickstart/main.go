@@ -51,7 +51,12 @@ func run(w io.Writer) error {
 		CapacityGates: 200e6,
 	}
 
-	pair := greenfpga.Pair{FPGA: fpga, ASIC: asic}
+	// Compile the pair once; every comparison and crossover probe
+	// below reuses the cached platform constants.
+	pair, err := greenfpga.CompileSet(greenfpga.PlatformSet{fpga, asic})
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "Edge accelerator, 100K units, 1.5-year application generations:")
 	for _, nApps := range []int{1, 2, 4, 6, 8} {
@@ -60,16 +65,17 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		ratio := cmp.Ratio(0, 1) // FPGA:ASIC
 		verdict := "ASIC wins"
-		if cmp.Ratio < 1 {
+		if ratio < 1 {
 			verdict = "FPGA wins"
 		}
 		fmt.Fprintf(w, "  %d application(s): FPGA %s vs ASIC %s  (ratio %.2f, %s)\n",
-			nApps, cmp.FPGA.Total(), cmp.ASIC.Total(), cmp.Ratio, verdict)
+			nApps, cmp.Assessments[0].Total(), cmp.Assessments[1].Total(), ratio, verdict)
 	}
 
 	// Where exactly does reconfigurability start paying off?
-	n, found, err := pair.CrossoverNumApps(greenfpga.Years(1.5), 100e3, 0, 20)
+	n, found, err := greenfpga.CrossoverNumAppsBetween(pair[0], pair[1], greenfpga.Years(1.5), 100e3, 0, 20)
 	if err != nil {
 		return err
 	}

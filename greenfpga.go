@@ -13,10 +13,11 @@
 //
 // Quick start:
 //
-//	pair, _ := greenfpga.DomainByName("DNN")      // Table 2 testcase
-//	pr, _ := pair.Pair()
-//	cmp, _ := pr.Compare(greenfpga.Uniform("apps", 6, greenfpga.Years(2), 1e6, 0))
-//	fmt.Println(cmp.Ratio)                        // < 1: FPGA wins
+//	dnn, _ := greenfpga.DomainByName("DNN")       // Table 2 testcase
+//	set, _ := dnn.Set()                           // FPGA, ASIC, then GPU, CPU
+//	pair, _ := greenfpga.CompileSet(set[:2])      // the paper's FPGA/ASIC pair
+//	cmp, _ := pair.Compare(greenfpga.Uniform("apps", 6, greenfpga.Years(2), 1e6, 0))
+//	fmt.Println(cmp.Ratio(0, 1))                  // FPGA:ASIC; < 1: FPGA wins
 //
 // This root package is a facade over the internal model packages; it
 // re-exports everything a downstream user needs: the scenario engine
@@ -83,12 +84,8 @@ type (
 	// Breakdown splits CFP into design/manufacturing/packaging/EOL/
 	// operation/app-development components.
 	Breakdown = core.Breakdown
-	// Pair couples an FPGA platform with its iso-performance ASIC.
-	Pair = core.Pair
-	// Comparison is a pair evaluated on one scenario.
-	Comparison = core.Comparison
 	// PlatformSet is an ordered list of platforms compared on one
-	// shared scenario — the N-platform generalization of Pair.
+	// shared scenario; the paper's comparison is {FPGA, ASIC}.
 	PlatformSet = core.Set
 	// CompiledPlatformSet is a set compiled for dense sweeps.
 	CompiledPlatformSet = core.CompiledSet
@@ -99,9 +96,6 @@ type (
 	// quantities cached; evaluating it skips the per-call model
 	// re-derivation of Evaluate.
 	CompiledPlatform = core.Compiled
-	// CompiledPair is a pair compiled for dense sweeps, crossover
-	// probes and Monte-Carlo draws.
-	CompiledPair = core.CompiledPair
 	// Schedule is a time-phased deployment plan: applications
 	// arriving, retiring and overlapping on one wall-clock timeline —
 	// the generalization of Scenario's back-to-back sequence.
@@ -213,13 +207,31 @@ func Evaluate(p Platform, s Scenario) (Assessment, error) { return core.Evaluate
 // a handful of multiplications.
 func Compile(p Platform) (*CompiledPlatform, error) { return core.Compile(p) }
 
-// CompilePair compiles both sides of a pair for sweep and crossover
-// workloads.
-func CompilePair(pr Pair) (CompiledPair, error) { return pr.Compile() }
-
-// CompileSet compiles every platform of a set for N-way comparison
-// workloads.
+// CompileSet compiles every platform of a set for N-way comparison,
+// sweep and crossover workloads.
 func CompileSet(set PlatformSet) (CompiledPlatformSet, error) { return set.Compile() }
+
+// CrossoverNumAppsBetween finds the smallest N_app in 1..maxN at which
+// platform a's total drops below platform b's — the paper's A2F
+// crossover (Fig. 4) when a is the FPGA and b the ASIC. found is false
+// when no crossover occurs within maxN.
+func CrossoverNumAppsBetween(a, b *CompiledPlatform, lifetime YearSpan, volume, sizeGates float64, maxN int) (n int, found bool, err error) {
+	return core.CrossoverNumAppsBetween(a, b, lifetime, volume, sizeGates, maxN)
+}
+
+// CrossoverLifetimeBetween bisects the application lifetime on [lo, hi]
+// for the point where the two platform totals meet — the paper's F2A
+// lifetime (Fig. 5) for the FPGA/ASIC pair.
+func CrossoverLifetimeBetween(a, b *CompiledPlatform, nApps int, volume, sizeGates float64, lo, hi YearSpan) (YearSpan, bool, error) {
+	return core.CrossoverLifetimeBetween(a, b, nApps, volume, sizeGates, lo, hi)
+}
+
+// CrossoverVolumeBetween bisects the application volume on [lo, hi]
+// for the point where the two platform totals meet — the paper's F2A
+// volume (Fig. 6) for the FPGA/ASIC pair.
+func CrossoverVolumeBetween(a, b *CompiledPlatform, nApps int, lifetime YearSpan, sizeGates float64, lo, hi float64) (float64, bool, error) {
+	return core.CrossoverVolumeBetween(a, b, nApps, lifetime, sizeGates, lo, hi)
+}
 
 // Uniform builds a scenario of n identical applications.
 func Uniform(name string, n int, lifetime YearSpan, volume, sizeGates float64) Scenario {

@@ -17,16 +17,20 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := pr.Compare(greenfpga.Uniform("apps", 6, greenfpga.Years(2), 1e6, 0))
+	pair, err := greenfpga.CompileSet(set[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Ratio >= 1 {
-		t.Errorf("six DNN applications should favour the FPGA, ratio %g", cmp.Ratio)
+	cmp, err := pair.Compare(greenfpga.Uniform("apps", 6, greenfpga.Years(2), 1e6, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Ratio(0, 1) >= 1 {
+		t.Errorf("six DNN applications should favour the FPGA, ratio %g", cmp.Ratio(0, 1))
 	}
 }
 
@@ -164,13 +168,13 @@ func TestFacadePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan, err := greenfpga.OptimizePortfolio(greenfpga.PlannerInputs{
-		FPGA: pr.FPGA,
-		ASIC: pr.ASIC,
+		FPGA: set[0],
+		ASIC: set[1],
 		Apps: []greenfpga.Application{
 			{Name: "a", Lifetime: greenfpga.Years(1), Volume: 1e4},
 			{Name: "b", Lifetime: greenfpga.Years(1), Volume: 1e4},

@@ -4,7 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 
+	"greenfpga/internal/deploy"
 	"greenfpga/internal/grid"
 	"greenfpga/internal/units"
 )
@@ -102,6 +104,155 @@ func TestConvolve(t *testing.T) {
 	}
 	if _, err := it.Convolve([]float64{1.5}); err == nil {
 		t.Error("Convolve(1.5) succeeded, want error")
+	}
+	if _, err := it.Convolve([]float64{0.5, -0.1}); err == nil {
+		t.Error("Convolve(-0.1) succeeded, want error")
+	}
+}
+
+// diurnal is a 24-hour utilization profile: busy during [start,
+// start+hours) (wrapping past midnight), idle elsewhere.
+func diurnal(start, hours int, busy, idle float64) []float64 {
+	util := make([]float64, 24)
+	for h := range util {
+		util[h] = idle
+		if (h-start+24)%24 < hours {
+			util[h] = busy
+		}
+	}
+	return util
+}
+
+// solarDay is a 24-hour grid day whose base intensity dips by dip
+// across 10:00-16:00 (half-depth shoulders at 08:00-10:00 and
+// 16:00-18:00) and peaks by dip/2 across 18:00-22:00.
+func solarDay(base units.CarbonIntensity, dip float64) Trace {
+	day := make(Trace, 24)
+	for h := range day {
+		scale := 1.0
+		switch {
+		case h >= 10 && h < 16:
+			scale = 1 - dip
+		case (h >= 8 && h < 10) || (h >= 16 && h < 18):
+			scale = 1 - dip/2
+		case h >= 18 && h < 22:
+			scale = 1 + dip/2
+		}
+		day[h] = base.Scale(scale)
+	}
+	return day
+}
+
+// TestConvolvePeriodicDay pins the convolution of a non-flat 24-hour
+// trace: one operating year is 365 repeats of the day, so the integral
+// is 365·Σ_h u_h·ci_h for any utilization profile, including one whose
+// busy window wraps past midnight.
+func TestConvolvePeriodicDay(t *testing.T) {
+	day := testTrace(24)
+	it, err := NewIntegrator(day)
+	if err != nil {
+		t.Fatalf("NewIntegrator: %v", err)
+	}
+	daily := func(util []float64) float64 {
+		var sum float64
+		for h, u := range util {
+			sum += u * day[h].KgPerKWh()
+		}
+		return 365 * sum
+	}
+	check := func(util []float64) bool {
+		got, err := it.Convolve(util)
+		if err != nil {
+			t.Fatalf("Convolve: %v", err)
+		}
+		want := daily(util)
+		return math.Abs(got-want) <= 1e-12*want
+	}
+	for _, util := range [][]float64{diurnal(9, 8, 0.9, 0.1), diurnal(22, 4, 1, 0)} {
+		if !check(util) {
+			t.Errorf("Convolve(%v) != 365·Σ u·ci", util)
+		}
+	}
+	f := func(raw [24]uint8) bool {
+		util := make([]float64, 24)
+		for h, v := range raw {
+			util[h] = float64(v) / 255
+		}
+		return check(util)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	// A 7-hour profile's joint period with the day (168 h) does not
+	// divide the year, so the integral is the literal 8760-hour walk.
+	week := []float64{1, 0.5, 0, 0.25, 0.75, 0.1, 0.9}
+	var walk float64
+	for h := 0; h < 8760; h++ {
+		walk += week[h%7] * day[h%24].KgPerKWh()
+	}
+	if got, err := it.Convolve(week); err != nil || math.Abs(got-walk) > 1e-12*walk {
+		t.Errorf("Convolve(7-hour profile) = %v, %v; want the hour-by-hour walk %v", got, err, walk)
+	}
+}
+
+// TestConvolveSolarScheduling checks carbon-aware scheduling: the same
+// 8 busy hours emit less inside a solar-dip day's clean midday window
+// than across its evening peak.
+func TestConvolveSolarScheduling(t *testing.T) {
+	it, err := NewIntegrator(solarDay(units.GramsPerKWh(400), 0.5))
+	if err != nil {
+		t.Fatalf("NewIntegrator: %v", err)
+	}
+	midday, err := it.Convolve(diurnal(9, 8, 0.9, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evening, err := it.Convolve(diurnal(16, 8, 0.9, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if midday >= evening {
+		t.Errorf("midday scheduling %v should beat evening %v on a solar-dip day", midday, evening)
+	}
+}
+
+// TestConvolveFlatDayMatchesDutyModel: on a flat day the schedule is
+// irrelevant, and the hourly integral equals the flat duty-cycle model
+// (deploy.OperationProfile) at the profile's mean utilization.
+func TestConvolveFlatDayMatchesDutyModel(t *testing.T) {
+	base := units.GramsPerKWh(400)
+	day := Flat(base, 24)
+	if m := day.Mean(); math.Abs(m.GramsPerKWh()-400) > 1e-9 {
+		t.Errorf("flat day mean %v, want 400 g/kWh", m)
+	}
+	it, err := NewIntegrator(day)
+	if err != nil {
+		t.Fatalf("NewIntegrator: %v", err)
+	}
+	peak := units.Watts(1000)
+	midday, evening := diurnal(9, 8, 0.9, 0.1), diurnal(16, 8, 0.9, 0.1)
+	cm, err := it.Convolve(midday)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := it.Convolve(evening)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peakKWh := peak.OverHours(1).KWh()
+	if math.Abs(cm-ce)*peakKWh > 1e-9 {
+		t.Errorf("flat day should be schedule-invariant: %v vs %v", cm, ce)
+	}
+	var mean float64
+	for _, u := range midday {
+		mean += u / 24
+	}
+	want, err := deploy.OperationProfile{PeakPower: peak, DutyCycle: mean}.AnnualCarbonAt(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cm * peakKWh; math.Abs(got-want.Kilograms()) > 1e-6*want.Kilograms() {
+		t.Errorf("flat-day hourly carbon %v kg != mean-duty model %v", got, want)
 	}
 }
 

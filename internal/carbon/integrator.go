@@ -92,11 +92,27 @@ func (it *Integrator) Convolve(util []float64) (float64, error) {
 			return 0, fmt.Errorf("carbon: utilization sample %d (%g) outside [0,1]", i, u)
 		}
 	}
+	// The product of the two cyclic signals repeats every
+	// lcm(len(util), len(trace)) hours; when that period divides the
+	// year, sum one period and scale instead of walking every hour.
+	year := int(units.HoursPerYear)
+	period := len(util) / gcd(len(util), len(it.values)) * len(it.values)
+	if period > year || year%period != 0 {
+		period = year
+	}
 	var sum float64
-	for h := 0; h < int(units.HoursPerYear); h++ {
+	for h := 0; h < period; h++ {
 		sum += util[h%len(util)] * it.values[h%len(it.values)]
 	}
-	return sum, nil
+	return sum * float64(year/period), nil
+}
+
+// gcd is the greatest common divisor of two positive integers.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // ShiftProfile is the "daily" load-shifting policy compiled against a

@@ -276,99 +276,3 @@ func (c *Compiled) UniformTotal(n int, lifetime units.Years, volume, sizeGates f
 	}
 	return a.Total(), nil
 }
-
-// CompiledPair couples a compiled FPGA platform with its compiled
-// iso-performance ASIC alternative. Compile a Pair once, then run
-// every sweep cell, crossover probe or Monte-Carlo draw against the
-// cached quantities. It is a thin two-element view over the
-// N-platform CompiledSet machinery: every solver delegates to the
-// *Between generalizations in set.go.
-type CompiledPair struct {
-	// FPGA is the reconfigurable platform.
-	FPGA *Compiled
-	// ASIC is the fixed-function alternative.
-	ASIC *Compiled
-}
-
-// Set widens the pair to a two-element compiled set (FPGA first).
-func (cp CompiledPair) Set() CompiledSet { return CompiledSet{cp.FPGA, cp.ASIC} }
-
-// Compile compiles both sides of the pair.
-func (pr Pair) Compile() (CompiledPair, error) {
-	f, err := Compile(pr.FPGA)
-	if err != nil {
-		return CompiledPair{}, fmt.Errorf("core: FPGA side: %w", err)
-	}
-	a, err := Compile(pr.ASIC)
-	if err != nil {
-		return CompiledPair{}, fmt.Errorf("core: ASIC side: %w", err)
-	}
-	return CompiledPair{FPGA: f, ASIC: a}, nil
-}
-
-// compare packages two assessments as a Comparison.
-func compare(f, a Assessment) Comparison {
-	c := Comparison{FPGA: f, ASIC: a}
-	if at := a.Total().Kilograms(); at != 0 {
-		c.Ratio = f.Total().Kilograms() / at
-	} else {
-		c.Ratio = math.Inf(1)
-	}
-	return c
-}
-
-// Compare evaluates both compiled platforms on the scenario.
-func (cp CompiledPair) Compare(s Scenario) (Comparison, error) {
-	f, err := cp.FPGA.Evaluate(s)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: FPGA side: %w", err)
-	}
-	a, err := cp.ASIC.Evaluate(s)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: ASIC side: %w", err)
-	}
-	return compare(f, a), nil
-}
-
-// CompareUniform evaluates both compiled platforms on a uniform
-// scenario through the O(1) path.
-func (cp CompiledPair) CompareUniform(n int, lifetime units.Years, volume, sizeGates float64) (Comparison, error) {
-	f, err := cp.FPGA.EvaluateUniform(n, lifetime, volume, sizeGates)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: FPGA side: %w", err)
-	}
-	a, err := cp.ASIC.EvaluateUniform(n, lifetime, volume, sizeGates)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: ASIC side: %w", err)
-	}
-	return compare(f, a), nil
-}
-
-// DiffUniform is the signed FPGA-minus-ASIC uniform-scenario total in
-// kilograms, the quantity every crossover solver drives to zero. It
-// is DiffUniformBetween with the pair's fixed operand order.
-func (cp CompiledPair) DiffUniform(n int, lifetime units.Years, volume, sizeGates float64) (float64, error) {
-	return DiffUniformBetween(cp.FPGA, cp.ASIC, n, lifetime, volume, sizeGates)
-}
-
-// CrossoverNumApps finds the smallest N_app in 1..maxN at which the
-// FPGA total drops below the ASIC total — the A2F crossover of
-// experiment A (Fig. 4); CrossoverNumAppsBetween with the pair's
-// operand order. found is false when no crossover occurs within maxN.
-func (cp CompiledPair) CrossoverNumApps(lifetime units.Years, volume, sizeGates float64, maxN int) (n int, found bool, err error) {
-	return CrossoverNumAppsBetween(cp.FPGA, cp.ASIC, lifetime, volume, sizeGates, maxN)
-}
-
-// CrossoverLifetime bisects the application lifetime T_i on [lo, hi]
-// with fixed N_app and volume for the point where the FPGA and ASIC
-// totals meet — the F2A point of experiment B (Fig. 5).
-func (cp CompiledPair) CrossoverLifetime(nApps int, volume, sizeGates float64, lo, hi units.Years) (units.Years, bool, error) {
-	return CrossoverLifetimeBetween(cp.FPGA, cp.ASIC, nApps, volume, sizeGates, lo, hi)
-}
-
-// CrossoverVolume bisects the application volume N_vol on [lo, hi]
-// with fixed N_app and lifetime — the F2A point of experiment C
-// (Fig. 6).
-func (cp CompiledPair) CrossoverVolume(nApps int, lifetime units.Years, sizeGates float64, lo, hi float64) (float64, bool, error) {
-	return CrossoverVolumeBetween(cp.FPGA, cp.ASIC, nApps, lifetime, sizeGates, lo, hi)
-}

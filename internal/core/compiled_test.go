@@ -531,21 +531,21 @@ func TestQuickEvaluateUniformMatchesLoop(t *testing.T) {
 }
 
 // TestCompiledCrossoversMatchLegacyScan asserts the binary-search
-// CrossoverNumApps agrees with an exhaustive scan of the O(1) diff
+// CrossoverNumAppsBetween agrees with an exhaustive scan of the O(1) diff
 // across randomized pairs.
 func TestCompiledCrossoversMatchLegacyScan(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const maxN = 64
 	for i := 0; i < 60; i++ {
-		pr := Pair{
-			FPGA: randomPlatform(t, r, device.FPGA),
-			ASIC: randomPlatform(t, r, device.ASIC),
+		pair := Set{
+			randomPlatform(t, r, device.FPGA),
+			randomPlatform(t, r, device.ASIC),
 		}
 		// The affine-diff argument needs uncapped generations; the
 		// capped fall-back is the scan itself.
-		pr.FPGA.ChipLifetime = 0
-		pr.ASIC.ChipLifetime = 0
-		cp, err := pr.Compile()
+		pair[0].ChipLifetime = 0
+		pair[1].ChipLifetime = 0
+		cs, err := pair.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +554,7 @@ func TestCompiledCrossoversMatchLegacyScan(t *testing.T) {
 
 		wantN, wantFound := 0, false
 		for n := 1; n <= maxN; n++ {
-			d, err := cp.DiffUniform(n, lifetime, volume, 0)
+			d, err := DiffUniformBetween(cs[0], cs[1], n, lifetime, volume, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -563,7 +563,7 @@ func TestCompiledCrossoversMatchLegacyScan(t *testing.T) {
 				break
 			}
 		}
-		gotN, gotFound, err := cp.CrossoverNumApps(lifetime, volume, 0, maxN)
+		gotN, gotFound, err := CrossoverNumAppsBetween(cs[0], cs[1], lifetime, volume, 0, maxN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,28 +571,6 @@ func TestCompiledCrossoversMatchLegacyScan(t *testing.T) {
 			t.Fatalf("iter %d: crossover (n=%d found=%v) vs scan (n=%d found=%v)",
 				i, gotN, gotFound, wantN, wantFound)
 		}
-	}
-}
-
-// TestCompiledPairCompareMatchesPair asserts CompiledPair.Compare and
-// Pair.Compare agree bit-for-bit.
-func TestCompiledPairCompareMatchesPair(t *testing.T) {
-	pr := testPair(t)
-	cp, err := pr.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Uniform("cmp", 4, units.YearsOf(1.5), 2e5, 0)
-	want, err := pr.Compare(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cp.Compare(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CompiledPair.Compare diverges:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

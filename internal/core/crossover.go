@@ -1,63 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"greenfpga/internal/units"
-)
-
-// Pair couples an FPGA platform with its iso-performance ASIC
-// alternative, the comparison setting of the whole paper. It is
-// retained as a thin two-element wrapper over the N-platform Set; use
-// Set directly to compare more than two platforms.
-type Pair struct {
-	// FPGA is the reconfigurable platform.
-	FPGA Platform
-	// ASIC is the fixed-function alternative.
-	ASIC Platform
-}
-
-// Set widens the pair to a two-element platform set (FPGA first).
-func (pr Pair) Set() Set { return Set{pr.FPGA, pr.ASIC} }
-
-// Comparison is the outcome of evaluating both platforms on the same
-// scenario.
-type Comparison struct {
-	// FPGA and ASIC are the platform assessments.
-	FPGA, ASIC Assessment
-	// Ratio is FPGA:ASIC total CFP — below 1 the FPGA is the more
-	// sustainable choice (the purple regions of Fig. 8).
-	Ratio float64
-}
-
-// Compare evaluates both platforms on the scenario.
-func (pr Pair) Compare(s Scenario) (Comparison, error) {
-	f, err := Evaluate(pr.FPGA, s)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: FPGA side: %w", err)
-	}
-	a, err := Evaluate(pr.ASIC, s)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("core: ASIC side: %w", err)
-	}
-	c := Comparison{FPGA: f, ASIC: a}
-	if at := a.Total().Kilograms(); at != 0 {
-		c.Ratio = f.Total().Kilograms() / at
-	} else {
-		c.Ratio = math.Inf(1)
-	}
-	return c, nil
-}
-
-// diff is the signed FPGA-minus-ASIC total in kilograms.
-func (pr Pair) diff(s Scenario) (float64, error) {
-	c, err := pr.Compare(s)
-	if err != nil {
-		return 0, err
-	}
-	return c.FPGA.Total().Kilograms() - c.ASIC.Total().Kilograms(), nil
-}
+import "fmt"
 
 // Bisect locates a zero of f on [lo, hi] to within tol (absolute, on
 // x). It requires a sign change between the endpoints and reports
@@ -103,39 +46,4 @@ func Bisect(lo, hi, tol float64, f func(float64) (float64, error)) (x float64, f
 		}
 	}
 	return (lo + hi) / 2, true, nil
-}
-
-// CrossoverNumApps finds the smallest N_app in 1..maxN at which the
-// FPGA total drops below the ASIC total — the A2F crossover of
-// experiment A (Fig. 4). found is false when no crossover occurs
-// within maxN. The pair is compiled once and probed through the O(1)
-// uniform path; see CompiledPair.CrossoverNumApps.
-func (pr Pair) CrossoverNumApps(lifetime units.Years, volume, sizeGates float64, maxN int) (n int, found bool, err error) {
-	cp, err := pr.Compile()
-	if err != nil {
-		return 0, false, err
-	}
-	return cp.CrossoverNumApps(lifetime, volume, sizeGates, maxN)
-}
-
-// CrossoverLifetime bisects the application lifetime T_i on [lo, hi]
-// with fixed N_app and volume for the point where the FPGA and ASIC
-// totals meet — the F2A point of experiment B (Fig. 5).
-func (pr Pair) CrossoverLifetime(nApps int, volume, sizeGates float64, lo, hi units.Years) (units.Years, bool, error) {
-	cp, err := pr.Compile()
-	if err != nil {
-		return 0, false, err
-	}
-	return cp.CrossoverLifetime(nApps, volume, sizeGates, lo, hi)
-}
-
-// CrossoverVolume bisects the application volume N_vol on [lo, hi]
-// with fixed N_app and lifetime — the F2A point of experiment C
-// (Fig. 6).
-func (pr Pair) CrossoverVolume(nApps int, lifetime units.Years, sizeGates float64, lo, hi float64) (float64, bool, error) {
-	cp, err := pr.Compile()
-	if err != nil {
-		return 0, false, err
-	}
-	return cp.CrossoverVolume(nApps, lifetime, sizeGates, lo, hi)
 }

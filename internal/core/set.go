@@ -8,12 +8,12 @@ import (
 	"greenfpga/internal/units"
 )
 
-// Set is an ordered list of platforms compared on one shared scenario
-// — the N-platform generalization of Pair. The two-platform FPGA/ASIC
-// comparison of the paper is Set{fpga, asic}; the follow-up four-way
-// comparison adds GPU and CPU platforms. Which accounting equation
-// each member uses follows its device kind's reuse policy, so a set
-// may freely mix embodied-once and embodied-per-application platforms.
+// Set is an ordered list of platforms compared on one shared scenario.
+// The two-platform FPGA/ASIC comparison of the paper is
+// Set{fpga, asic}; the follow-up four-way comparison adds GPU and CPU
+// platforms. Which accounting equation each member uses follows its
+// device kind's reuse policy, so a set may freely mix embodied-once
+// and embodied-per-application platforms.
 type Set []Platform
 
 // Validate checks every platform and that the set can be compared.
@@ -91,9 +91,9 @@ func (sc SetComparison) WinnerAssessment() Assessment {
 	return sc.Assessments[sc.Winner]
 }
 
-// Ratio returns total(i)/total(j), the generalization of
-// Comparison.Ratio (which is Ratio of the FPGA index over the ASIC
-// index in a two-platform set).
+// Ratio returns total(i)/total(j); Ratio(0, 1) of Set{fpga, asic} is
+// the paper's FPGA:ASIC ratio — below 1 the FPGA is the more
+// sustainable choice (the purple regions of Fig. 8).
 func (sc SetComparison) Ratio(i, j int) float64 { return sc.Ratios[i][j] }
 
 // newSetComparison derives ratios and the winner from assessments.
@@ -156,9 +156,7 @@ func (cs CompiledSet) CompareUniform(n int, lifetime units.Years, volume, sizeGa
 }
 
 // DiffUniformBetween is the signed a-minus-b uniform-scenario total in
-// kilograms — the quantity every crossover solver drives to zero,
-// generalized from the pair's FPGA-minus-ASIC diff to any two
-// compiled platforms.
+// kilograms — the quantity every crossover solver drives to zero.
 func DiffUniformBetween(a, b *Compiled, n int, lifetime units.Years, volume, sizeGates float64) (float64, error) {
 	at, err := a.UniformTotal(n, lifetime, volume, sizeGates)
 	if err != nil {

@@ -9,49 +9,51 @@ import (
 	"greenfpga/internal/units"
 )
 
-// TestQuickSetMatchesPair is the set/policy equivalence property: for
-// FPGA/ASIC inputs, the N-platform path (CompiledSet, the *Between
-// crossover solvers) reproduces the legacy Pair/CompiledPair results
-// exactly — same frozen-reference harness as compiled_test.go, so the
-// set path is compared against the pre-set implementation rather than
-// against itself.
+// TestQuickSetMatchesPair is the set equivalence property for the
+// paper's FPGA/ASIC pair: a two-member CompiledSet reproduces the two
+// independent Evaluate calls exactly — assessments, the FPGA:ASIC
+// ratio (Ratio(0, 1)) and the winner — with the FPGA side also checked
+// against the frozen reference of compiled_test.go, so the set path is
+// compared against the pre-set implementation rather than against
+// itself. The uniform comparison must match each member's O(1) path.
 func TestQuickSetMatchesPair(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
-		pr := Pair{
-			FPGA: randomPlatform(t, r, device.FPGA),
-			ASIC: randomPlatform(t, r, device.ASIC),
+		pair := Set{
+			randomPlatform(t, r, device.FPGA),
+			randomPlatform(t, r, device.ASIC),
 		}
 		s := randomScenario(r)
 
-		cp, err := pr.Compile()
-		if err != nil {
-			t.Fatalf("iter %d: pair compile: %v", i, err)
-		}
-		cs, err := pr.Set().Compile()
+		cs, err := pair.Compile()
 		if err != nil {
 			t.Fatalf("iter %d: set compile: %v", i, err)
 		}
 
 		// Full-scenario comparison: assessments and the FPGA:ASIC ratio
-		// must be bit-identical, and each side must match the frozen
-		// reference implementation.
-		want, err := cp.Compare(s)
+		// must be bit-identical to evaluating each side on its own, and
+		// the FPGA side must match the frozen reference implementation.
+		wantF, err := Evaluate(pair[0], s)
 		if err != nil {
-			t.Fatalf("iter %d: pair compare: %v", i, err)
+			t.Fatalf("iter %d: FPGA evaluate: %v", i, err)
+		}
+		wantA, err := Evaluate(pair[1], s)
+		if err != nil {
+			t.Fatalf("iter %d: ASIC evaluate: %v", i, err)
 		}
 		got, err := cs.Compare(s)
 		if err != nil {
 			t.Fatalf("iter %d: set compare: %v", i, err)
 		}
-		if !reflect.DeepEqual(got.Assessments[0], want.FPGA) ||
-			!reflect.DeepEqual(got.Assessments[1], want.ASIC) {
-			t.Fatalf("iter %d: set assessments diverge from pair", i)
+		if !reflect.DeepEqual(got.Assessments[0], wantF) ||
+			!reflect.DeepEqual(got.Assessments[1], wantA) {
+			t.Fatalf("iter %d: set assessments diverge from per-platform Evaluate", i)
 		}
-		if got.Ratios[0][1] != want.Ratio {
-			t.Fatalf("iter %d: set ratio %g, pair ratio %g", i, got.Ratios[0][1], want.Ratio)
+		wantRatio := wantF.Total().Kilograms() / wantA.Total().Kilograms()
+		if got.Ratio(0, 1) != wantRatio {
+			t.Fatalf("iter %d: set ratio %g, want %g", i, got.Ratio(0, 1), wantRatio)
 		}
-		ref, err := evaluateReference(pr.FPGA, s)
+		ref, err := evaluateReference(pair[0], s)
 		if err != nil {
 			t.Fatalf("iter %d: reference: %v", i, err)
 		}
@@ -59,65 +61,33 @@ func TestQuickSetMatchesPair(t *testing.T) {
 			t.Fatalf("iter %d: set FPGA assessment diverges from frozen reference", i)
 		}
 		wantWinner := 1
-		if want.Ratio < 1 {
+		if wantRatio < 1 {
 			wantWinner = 0
 		}
 		if got.Winner != wantWinner {
-			t.Fatalf("iter %d: winner %d, want %d (ratio %g)", i, got.Winner, wantWinner, want.Ratio)
+			t.Fatalf("iter %d: winner %d, want %d (ratio %g)", i, got.Winner, wantWinner, wantRatio)
 		}
 
 		// Uniform comparison through the O(1) path.
 		n := 1 + r.Intn(12)
 		lifetime := units.YearsOf(0.2 + r.Float64()*4)
 		volume := 1 + r.Float64()*1e6
-		wantU, err := cp.CompareUniform(n, lifetime, volume, 0)
+		wantUF, err := cs[0].EvaluateUniform(n, lifetime, volume, 0)
 		if err != nil {
-			t.Fatalf("iter %d: pair uniform: %v", i, err)
+			t.Fatalf("iter %d: FPGA uniform: %v", i, err)
+		}
+		wantUA, err := cs[1].EvaluateUniform(n, lifetime, volume, 0)
+		if err != nil {
+			t.Fatalf("iter %d: ASIC uniform: %v", i, err)
 		}
 		gotU, err := cs.CompareUniform(n, lifetime, volume, 0)
 		if err != nil {
 			t.Fatalf("iter %d: set uniform: %v", i, err)
 		}
-		if !reflect.DeepEqual(gotU.Assessments[0], wantU.FPGA) ||
-			!reflect.DeepEqual(gotU.Assessments[1], wantU.ASIC) ||
-			gotU.Ratios[0][1] != wantU.Ratio {
-			t.Fatalf("iter %d: uniform set comparison diverges from pair", i)
-		}
-
-		// Crossover solvers between the set members must reproduce the
-		// legacy pair solvers exactly.
-		wn, wf, err := cp.CrossoverNumApps(lifetime, volume, 0, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gn, gf, err := CrossoverNumAppsBetween(cs[0], cs[1], lifetime, volume, 0, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wn != gn || wf != gf {
-			t.Fatalf("iter %d: num-apps crossover (%d,%v) vs pair (%d,%v)", i, gn, gf, wn, wf)
-		}
-		wt, wtf, err := cp.CrossoverLifetime(5, volume, 0, units.YearsOf(0.05), units.YearsOf(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gt, gtf, err := CrossoverLifetimeBetween(cs[0], cs[1], 5, volume, 0, units.YearsOf(0.05), units.YearsOf(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wt != gt || wtf != gtf {
-			t.Fatalf("iter %d: lifetime crossover (%v,%v) vs pair (%v,%v)", i, gt, gtf, wt, wtf)
-		}
-		wv, wvf, err := cp.CrossoverVolume(5, lifetime, 0, 1e2, 1e8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gv, gvf, err := CrossoverVolumeBetween(cs[0], cs[1], 5, lifetime, 0, 1e2, 1e8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wv != gv || wvf != gvf {
-			t.Fatalf("iter %d: volume crossover (%g,%v) vs pair (%g,%v)", i, gv, gvf, wv, wvf)
+		if !reflect.DeepEqual(gotU.Assessments[0], wantUF) ||
+			!reflect.DeepEqual(gotU.Assessments[1], wantUA) ||
+			gotU.Ratio(0, 1) != wantUF.Total().Kilograms()/wantUA.Total().Kilograms() {
+			t.Fatalf("iter %d: uniform set comparison diverges from per-platform path", i)
 		}
 	}
 }

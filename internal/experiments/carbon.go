@@ -25,28 +25,31 @@ const (
 
 var sitingLifetime = units.YearsOf(2)
 
-// sitedPair compiles the DNN FPGA/ASIC pair deployed in a carbon
-// region: scalar regions swap the use-phase mix, traced regions
-// additionally attach the cached hourly integrator (and optionally a
-// shifting policy), exercising the trace-integrated operational path.
-func sitedPair(reg carbon.Region, shift string) (core.CompiledPair, error) {
-	pr, err := domainPair("DNN")
+// sitedPair compiles the DNN FPGA/ASIC pair (members 0 and 1)
+// deployed in a carbon region: scalar regions swap the use-phase mix,
+// traced regions additionally attach the cached hourly integrator (and
+// optionally a shifting policy), exercising the trace-integrated
+// operational path.
+func sitedPair(reg carbon.Region, shift string) (core.CompiledSet, error) {
+	set, err := domainSet("DNN")
 	if err != nil {
-		return core.CompiledPair{}, err
+		return nil, err
 	}
-	for _, p := range []*core.Platform{&pr.FPGA, &pr.ASIC} {
+	pair := set[:2]
+	for i := range pair {
+		p := &pair[i]
 		p.UseMix = reg.Mix
 		p.UseTrace, p.UseIntegrator, p.UseShift = nil, nil, ""
 		if reg.Traced {
 			it, err := carbon.IntegratorFor(reg.Name)
 			if err != nil {
-				return core.CompiledPair{}, err
+				return nil, err
 			}
 			p.UseIntegrator = it
 			p.UseShift = shift
 		}
 	}
-	return pr.Compile()
+	return pair.Compile()
 }
 
 // carbonSiting runs the fleet siting study as a paper-style artifact:
@@ -87,11 +90,9 @@ func carbonSiting() (*Output, error) {
 			}
 			mean = ci.GramsPerKWh()
 		}
-		winner, winKg := cmp.FPGA.Platform, cmp.FPGA.Total().Kilograms()
-		if cmp.ASIC.Total() < cmp.FPGA.Total() {
-			winner, winKg = cmp.ASIC.Platform, cmp.ASIC.Total().Kilograms()
-		}
-		n, found, err := cp.CrossoverNumApps(sitingLifetime, sitingVolume, 0, sitingMaxN)
+		winner := cmp.WinnerAssessment()
+		winKg := winner.Total().Kilograms()
+		n, found, err := core.CrossoverNumAppsBetween(cp[0], cp[1], sitingLifetime, sitingVolume, 0, sitingMaxN)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +107,7 @@ func carbonSiting() (*Output, error) {
 			}
 		}
 		t.AddRow(reg.Name, signal, fmt.Sprintf("%.0f", mean),
-			kt(cmp.FPGA.Total()), kt(cmp.ASIC.Total()), winner, a2f)
+			kt(cmp.Assessments[0].Total()), kt(cmp.Assessments[1].Total()), winner.Platform, a2f)
 		if bestKg == 0 || winKg < bestKg {
 			bestKg, bestRegion = winKg, reg.Name
 		}
@@ -151,11 +152,11 @@ func loadShifting() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		fa, err := flat.FPGA.EvaluateUniform(sitingNApps, sitingLifetime, sitingVolume, 0)
+		fa, err := flat[0].EvaluateUniform(sitingNApps, sitingLifetime, sitingVolume, 0)
 		if err != nil {
 			return nil, err
 		}
-		sa, err := shifted.FPGA.EvaluateUniform(sitingNApps, sitingLifetime, sitingVolume, 0)
+		sa, err := shifted[0].EvaluateUniform(sitingNApps, sitingLifetime, sitingVolume, 0)
 		if err != nil {
 			return nil, err
 		}

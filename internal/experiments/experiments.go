@@ -16,6 +16,7 @@ import (
 	"greenfpga/internal/core"
 	"greenfpga/internal/isoperf"
 	"greenfpga/internal/report"
+	"greenfpga/internal/sweep"
 	"greenfpga/internal/units"
 )
 
@@ -170,22 +171,23 @@ func RunAll() ([]*Output, error) {
 	return outs, nil
 }
 
-// domainPair resolves an iso-performance pair by domain name. Pair
-// results are memoized inside isoperf, so repeated resolution across
-// artifacts does not rebuild the platforms.
-func domainPair(name string) (core.Pair, error) {
+// domainSet resolves an iso-performance platform set (FPGA, ASIC,
+// then GPU and CPU) by domain name. Set results are memoized inside
+// isoperf, so repeated resolution across artifacts does not rebuild
+// the platforms; each call returns the caller's own copy to modify.
+func domainSet(name string) (core.Set, error) {
 	d, err := isoperf.ByName(name)
 	if err != nil {
-		return core.Pair{}, err
+		return nil, err
 	}
-	return d.Pair()
+	return d.Set()
 }
 
 // compiledSets memoizes compiled domain platform sets across
 // artifacts, so every sweep cell of every figure runs against cached
-// platform constants instead of re-deriving them. Pair-based
-// experiments view the same cache through compiledDomainPair, so each
-// domain platform is compiled once per process however it is used.
+// platform constants instead of re-deriving them. The two-platform
+// figures use members 0 and 1 (FPGA, ASIC), so each domain platform is
+// compiled once per process however it is used.
 var compiledSets sync.Map // domain name -> core.CompiledSet
 
 // compiledDomainSet resolves and compiles a domain's full platform set
@@ -211,20 +213,11 @@ func compiledDomainSet(name string) (core.CompiledSet, error) {
 	return cs, nil
 }
 
-// compiledDomainPair views a domain set's FPGA/ASIC members as the
-// legacy compiled pair the two-platform figures sweep.
-func compiledDomainPair(name string) (core.CompiledPair, error) {
-	cs, err := compiledDomainSet(name)
-	if err != nil {
-		return core.CompiledPair{}, err
-	}
-	return core.CompiledPair{FPGA: cs[0], ASIC: cs[1]}, nil
-}
-
 // uniformEval builds a sweep evaluator over n/lifetime/volume with two
-// of the three pinned, probing through the compiled O(1) uniform path.
-func uniformEval(cp core.CompiledPair, n int, lifetimeYears, volume float64) func(axis string, x float64) (units.Mass, units.Mass, error) {
-	return func(axis string, x float64) (units.Mass, units.Mass, error) {
+// of the three pinned, filling one total per member of cs through the
+// compiled O(1) uniform path.
+func uniformEval(cs core.CompiledSet, axis string, n int, lifetimeYears, volume float64) sweep.SetEval {
+	return func(x float64, totals []units.Mass) error {
 		nApps, t, v := n, lifetimeYears, volume
 		switch axis {
 		case "n":
@@ -234,13 +227,16 @@ func uniformEval(cp core.CompiledPair, n int, lifetimeYears, volume float64) fun
 		case "v":
 			v = x
 		default:
-			return 0, 0, fmt.Errorf("experiments: unknown axis %q", axis)
+			return fmt.Errorf("experiments: unknown axis %q", axis)
 		}
-		c, err := cp.CompareUniform(nApps, units.YearsOf(t), v, 0)
-		if err != nil {
-			return 0, 0, err
+		for i, c := range cs {
+			total, err := c.UniformTotal(nApps, units.YearsOf(t), v, 0)
+			if err != nil {
+				return err
+			}
+			totals[i] = total
 		}
-		return c.FPGA.Total(), c.ASIC.Total(), nil
+		return nil
 	}
 }
 

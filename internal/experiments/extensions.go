@@ -94,12 +94,12 @@ func chipletAblation() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		return nil, err
 	}
-	fpgaNode := pr.FPGA.Spec.Node
-	total := pr.FPGA.Spec.DieArea // 600 mm^2 of fabric
+	fpgaNode := set[0].Spec.Node
+	total := set[0].Spec.DieArea // 600 mm^2 of fabric
 
 	t := report.NewTable("Chiplet ablation: DNN FPGA embodied carbon per device",
 		"Construction", "Die yield", "Mfg [kg]", "Pkg [kg]", "Total [kg]")
@@ -196,7 +196,7 @@ func plannerExperiment() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func plannerExperiment() (*Output, error) {
 		{Name: "flagship-product", Lifetime: units.YearsOf(4), Volume: 3e6},
 		{Name: "legacy-refresh", Lifetime: units.YearsOf(1), Volume: 5e4},
 	}
-	plan, err := planner.Optimize(planner.Inputs{FPGA: pr.FPGA, ASIC: pr.ASIC, Apps: apps})
+	plan, err := planner.Optimize(planner.Inputs{FPGA: set[0], ASIC: set[1], Apps: apps})
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func eq2Sensitivity() (*Output, error) {
 		"Domain", "FPGA one-time [kt]", "FPGA strict [kt]", "Delta", "Ratio shift")
 	var maxShift float64
 	for _, d := range isoperf.Domains() {
-		cp, err := compiledDomainPair(d.Name)
+		cs, err := compiledDomainSet(d.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -39,22 +39,23 @@ func eq2Sensitivity() (*Output, error) {
 			isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0)
 		strict := loose
 		strict.StrictEq2 = true
-		cl, err := cp.Compare(loose)
+		cl, err := cs[:2].Compare(loose)
 		if err != nil {
 			return nil, err
 		}
-		cs, err := cp.Compare(strict)
+		cst, err := cs[:2].Compare(strict)
 		if err != nil {
 			return nil, err
 		}
-		delta := cs.FPGA.Total() - cl.FPGA.Total()
-		shift := cs.Ratio - cl.Ratio
+		looseFPGA, strictFPGA := cl.Assessments[0].Total(), cst.Assessments[0].Total()
+		delta := strictFPGA - looseFPGA
+		shift := cst.Ratio(0, 1) - cl.Ratio(0, 1)
 		if s := shift; s > maxShift {
 			maxShift = s
 		}
 		t.AddRow(d.Name,
-			fmt.Sprintf("%.2f", cl.FPGA.Total().Kilotonnes()),
-			fmt.Sprintf("%.2f", cs.FPGA.Total().Kilotonnes()),
+			fmt.Sprintf("%.2f", looseFPGA.Kilotonnes()),
+			fmt.Sprintf("%.2f", strictFPGA.Kilotonnes()),
 			delta.String(),
 			fmt.Sprintf("%+.4f", shift))
 	}
@@ -78,20 +79,21 @@ func scenarios() (*Output, error) {
 	var notes []string
 	for _, d := range isoperf.Domains() {
 		// One compile serves all three solvers.
-		cp, err := compiledDomainPair(d.Name)
+		cs, err := compiledDomainSet(d.Name)
 		if err != nil {
 			return nil, err
 		}
-		n, nFound, err := cp.CrossoverNumApps(isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0, 20)
+		fpga, asic := cs[0], cs[1]
+		n, nFound, err := core.CrossoverNumAppsBetween(fpga, asic, isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0, 20)
 		if err != nil {
 			return nil, err
 		}
-		tstar, tFound, err := cp.CrossoverLifetime(isoperf.ReferenceNumApps, isoperf.ReferenceVolume, 0,
+		tstar, tFound, err := core.CrossoverLifetimeBetween(fpga, asic, isoperf.ReferenceNumApps, isoperf.ReferenceVolume, 0,
 			units.YearsOf(0.05), units.YearsOf(5))
 		if err != nil {
 			return nil, err
 		}
-		vstar, vFound, err := cp.CrossoverVolume(isoperf.ReferenceNumApps, isoperf.ReferenceLifetime(), 0,
+		vstar, vFound, err := core.CrossoverVolumeBetween(fpga, asic, isoperf.ReferenceNumApps, isoperf.ReferenceLifetime(), 0,
 			1e3, 1e7)
 		if err != nil {
 			return nil, err
@@ -198,7 +200,7 @@ func yieldAblation() (*Output, error) {
 // recyclingSweep exercises Eq. 5 (recycled-material sourcing) and
 // Eq. 6 (end-of-life recycling) across their 0..1 ranges.
 func recyclingSweep() (*Output, error) {
-	pr, err := domainPair("DNN")
+	set, err := domainSet("DNN")
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +210,7 @@ func recyclingSweep() (*Output, error) {
 	for _, rho := range []float64{0, 0.25, 0.5, 1} {
 		row := []string{fmt.Sprintf("%.2f", rho)}
 		for _, delta := range []float64{0, 0.25, 0.5, 1} {
-			p := pr.FPGA
+			p := set[0]
 			p.RecycledMaterialFraction = rho
 			p.EOL.RecycleFraction = delta
 			p.EOL.DisableRecycling = delta == 0

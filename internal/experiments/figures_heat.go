@@ -17,16 +17,17 @@ func init() {
 // fig8 reproduces Fig. 8: pairwise heatmaps of the FPGA:ASIC CFP ratio
 // for the DNN domain, with the crossover contour marked.
 func fig8() (*Output, error) {
-	cp, err := compiledDomainPair("DNN")
+	cs, err := compiledDomainSet("DNN")
 	if err != nil {
 		return nil, err
 	}
 	eval := func(n int, tYears, volume float64) (units.Mass, units.Mass, error) {
-		c, err := cp.CompareUniform(n, units.YearsOf(tYears), volume, 0)
+		f, err := cs[0].UniformTotal(n, units.YearsOf(tYears), volume, 0)
 		if err != nil {
 			return 0, 0, err
 		}
-		return c.FPGA.Total(), c.ASIC.Total(), nil
+		a, err := cs[1].UniformTotal(n, units.YearsOf(tYears), volume, 0)
+		return f, a, err
 	}
 
 	nAxis := sweep.Axis{Name: "Num Apps", Values: sweep.IntRange(1, 10)}

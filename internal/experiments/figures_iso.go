@@ -22,38 +22,40 @@ func init() {
 // fig2 reproduces Fig. 2: ASIC vs FPGA total CFP for a single DNN
 // application and for ten applications.
 func fig2() (*Output, error) {
-	pr, err := domainPair("DNN")
+	cs, err := compiledDomainSet("DNN")
 	if err != nil {
 		return nil, err
 	}
+	pair := cs[:2]
 	t := report.NewTable("Fig. 2: CFP of ASIC vs FPGA computing (DNN, T=2y, V=1e6)",
 		"Scenario", "FPGA [ktCO2e]", "ASIC [ktCO2e]", "FPGA:ASIC")
 	var bars []report.StackedBar
 	var notes []string
 	for _, n := range []int{1, 10} {
-		c, err := pr.Compare(core.Uniform("fig2", n, isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0))
+		c, err := pair.Compare(core.Uniform("fig2", n, isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0))
 		if err != nil {
 			return nil, err
 		}
+		fpga, asic, ratio := c.Assessments[0], c.Assessments[1], c.Ratio(0, 1)
 		label := fmt.Sprintf("%d application(s)", n)
-		t.AddRow(label, kt(c.FPGA.Total()), kt(c.ASIC.Total()), fmt.Sprintf("%.3f", c.Ratio))
+		t.AddRow(label, kt(fpga.Total()), kt(asic.Total()), fmt.Sprintf("%.3f", ratio))
 		bars = append(bars,
 			report.StackedBar{Label: fmt.Sprintf("FPGA %danc", n), Segments: []report.Segment{
-				{Name: "embodied", Value: c.FPGA.Breakdown.Embodied().Kilotonnes()},
-				{Name: "operational", Value: c.FPGA.Breakdown.Deployment().Kilotonnes()},
+				{Name: "embodied", Value: fpga.Breakdown.Embodied().Kilotonnes()},
+				{Name: "operational", Value: fpga.Breakdown.Deployment().Kilotonnes()},
 			}},
 			report.StackedBar{Label: fmt.Sprintf("ASIC %danc", n), Segments: []report.Segment{
-				{Name: "embodied", Value: c.ASIC.Breakdown.Embodied().Kilotonnes()},
-				{Name: "operational", Value: c.ASIC.Breakdown.Deployment().Kilotonnes()},
+				{Name: "embodied", Value: asic.Breakdown.Embodied().Kilotonnes()},
+				{Name: "operational", Value: asic.Breakdown.Deployment().Kilotonnes()},
 			}},
 		)
 		if n == 10 {
 			notes = append(notes, fmt.Sprintf(
 				"ten applications make the FPGA %.0f%% lower-CFP than the ASIC (paper: ~25%%)",
-				(1-c.Ratio)*100))
+				(1-ratio)*100))
 		} else {
 			notes = append(notes, fmt.Sprintf(
-				"a single application leaves the FPGA %.1fx the ASIC CFP", c.Ratio))
+				"a single application leaves the FPGA %.1fx the ASIC CFP", ratio))
 		}
 	}
 	for i := range bars {
@@ -72,19 +74,17 @@ func fig2() (*Output, error) {
 	}, nil
 }
 
-// domainSweep1D runs one of the Figs. 4-6 sweeps for every domain.
+// domainSweep1D runs one of the Figs. 4-6 sweeps for every domain;
+// each point's Totals are the FPGA (0) and ASIC (1) totals.
 func domainSweep1D(axisName string, axis sweep.Axis, n int, tYears, volume float64) (
-	map[string][]sweep.Point1D, error) {
-	out := make(map[string][]sweep.Point1D, 3)
+	map[string][]sweep.PointN, error) {
+	out := make(map[string][]sweep.PointN, 3)
 	for _, d := range isoperf.Domains() {
-		cp, err := compiledDomainPair(d.Name)
+		cs, err := compiledDomainSet(d.Name)
 		if err != nil {
 			return nil, err
 		}
-		eval := uniformEval(cp, n, tYears, volume)
-		pts, err := sweep.Run1D(axis, func(x float64) (units.Mass, units.Mass, error) {
-			return eval(axisName, x)
-		})
+		pts, err := sweep.RunN(axis, 2, uniformEval(cs[:2], axisName, n, tYears, volume))
 		if err != nil {
 			return nil, err
 		}
@@ -94,14 +94,14 @@ func domainSweep1D(axisName string, axis sweep.Axis, n int, tYears, volume float
 }
 
 // sweepTable tabulates a per-domain sweep.
-func sweepTable(title, xHeader string, axis sweep.Axis, byDomain map[string][]sweep.Point1D, xFmt string) *report.Table {
+func sweepTable(title, xHeader string, axis sweep.Axis, byDomain map[string][]sweep.PointN, xFmt string) *report.Table {
 	t := report.NewTable(title, xHeader,
 		"DNN FPGA", "DNN ASIC", "ImgProc FPGA", "ImgProc ASIC", "Crypto FPGA", "Crypto ASIC")
 	for i := range axis.Values {
 		row := []string{fmt.Sprintf(xFmt, axis.Values[i])}
 		for _, dom := range []string{"DNN", "ImgProc", "Crypto"} {
 			p := byDomain[dom][i]
-			row = append(row, kt(p.FPGA), kt(p.ASIC))
+			row = append(row, kt(p.Totals[0]), kt(p.Totals[1]))
 		}
 		t.AddRow(row...)
 	}
@@ -109,7 +109,7 @@ func sweepTable(title, xHeader string, axis sweep.Axis, byDomain map[string][]sw
 }
 
 // sweepCharts renders one ratio chart per domain.
-func sweepCharts(titlePrefix, xLabel string, logX bool, byDomain map[string][]sweep.Point1D) ([]string, error) {
+func sweepCharts(titlePrefix, xLabel string, logX bool, byDomain map[string][]sweep.PointN) ([]string, error) {
 	var charts []string
 	for _, dom := range []string{"DNN", "ImgProc", "Crypto"} {
 		pts := byDomain[dom]
@@ -118,8 +118,8 @@ func sweepCharts(titlePrefix, xLabel string, logX bool, byDomain map[string][]sw
 		ay := make([]float64, len(pts))
 		for i, p := range pts {
 			xs[i] = p.X
-			fy[i] = p.FPGA.Kilotonnes()
-			ay[i] = p.ASIC.Kilotonnes()
+			fy[i] = p.Totals[0].Kilotonnes()
+			ay[i] = p.Totals[1].Kilotonnes()
 		}
 		var sb strings.Builder
 		err := report.LineChart(&sb, report.ChartOptions{
@@ -137,18 +137,22 @@ func sweepCharts(titlePrefix, xLabel string, logX bool, byDomain map[string][]sw
 }
 
 // crossoverNotes summarizes where each domain's sweep crosses ratio 1.
-func crossoverNotes(byDomain map[string][]sweep.Point1D, describe func(x float64) string) []string {
+func crossoverNotes(byDomain map[string][]sweep.PointN, describe func(x float64) string) []string {
 	var notes []string
 	for _, dom := range []string{"DNN", "ImgProc", "Crypto"} {
 		pts := byDomain[dom]
+		ratio := make([]float64, len(pts))
+		for i, p := range pts {
+			ratio[i] = p.Totals[0].Kilograms() / p.Totals[1].Kilograms()
+		}
 		found := false
 		for i := 0; i+1 < len(pts); i++ {
-			if (pts[i].Ratio-1)*(pts[i+1].Ratio-1) < 0 {
+			if (ratio[i]-1)*(ratio[i+1]-1) < 0 {
 				// Linear interpolation for the report note.
-				t := (1 - pts[i].Ratio) / (pts[i+1].Ratio - pts[i].Ratio)
+				t := (1 - ratio[i]) / (ratio[i+1] - ratio[i])
 				x := pts[i].X + t*(pts[i+1].X-pts[i].X)
 				kind := "A2F"
-				if pts[i].Ratio < 1 {
+				if ratio[i] < 1 {
 					kind = "F2A"
 				}
 				notes = append(notes, fmt.Sprintf("%s: %s crossover at %s", dom, kind, describe(x)))
@@ -157,7 +161,7 @@ func crossoverNotes(byDomain map[string][]sweep.Point1D, describe func(x float64
 		}
 		if !found {
 			winner := "FPGA"
-			if pts[0].Ratio > 1 {
+			if ratio[0] > 1 {
 				winner = "ASIC"
 			}
 			notes = append(notes, fmt.Sprintf("%s: no crossover; %s is always the lower-CFP platform", dom, winner))
@@ -235,10 +239,11 @@ func fig6() (*Output, error) {
 // fig7 reproduces Fig. 7: the embodied/operational breakdown for the
 // DNN domain across the three sweeps.
 func fig7() (*Output, error) {
-	pr, err := domainPair("DNN")
+	cs, err := compiledDomainSet("DNN")
 	if err != nil {
 		return nil, err
 	}
+	pair := cs[:2]
 	type panel struct {
 		name   string
 		labels []string
@@ -277,21 +282,22 @@ func fig7() (*Output, error) {
 			"Point", "FPGA EC", "FPGA OC", "ASIC EC", "ASIC OC")
 		var bars []report.StackedBar
 		for i, label := range p.labels {
-			c, err := pr.Compare(p.make(i))
+			c, err := pair.Compare(p.make(i))
 			if err != nil {
 				return nil, err
 			}
+			fpga, asic := c.Assessments[0].Breakdown, c.Assessments[1].Breakdown
 			tbl.AddRow(label,
-				kt(c.FPGA.Breakdown.Embodied()), kt(c.FPGA.Breakdown.Deployment()),
-				kt(c.ASIC.Breakdown.Embodied()), kt(c.ASIC.Breakdown.Deployment()))
+				kt(fpga.Embodied()), kt(fpga.Deployment()),
+				kt(asic.Embodied()), kt(asic.Deployment()))
 			bars = append(bars,
 				report.StackedBar{Label: label + " FPGA", Segments: []report.Segment{
-					{Name: "EC", Value: c.FPGA.Breakdown.Embodied().Kilotonnes()},
-					{Name: "OC", Value: c.FPGA.Breakdown.Deployment().Kilotonnes()},
+					{Name: "EC", Value: fpga.Embodied().Kilotonnes()},
+					{Name: "OC", Value: fpga.Deployment().Kilotonnes()},
 				}},
 				report.StackedBar{Label: label + " ASIC", Segments: []report.Segment{
-					{Name: "EC", Value: c.ASIC.Breakdown.Embodied().Kilotonnes()},
-					{Name: "OC", Value: c.ASIC.Breakdown.Deployment().Kilotonnes()},
+					{Name: "EC", Value: asic.Embodied().Kilotonnes()},
+					{Name: "OC", Value: asic.Deployment().Kilotonnes()},
 				}})
 		}
 		tables = append(tables, tbl)

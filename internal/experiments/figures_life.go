@@ -34,11 +34,11 @@ func fig9() (*Output, error) {
 	summary := report.NewTable("Fig. 9 cumulative CFP at checkpoints [ktCO2e]",
 		"Domain", "Platform", "10y", "20y", "35y", "45y")
 	for _, d := range isoperf.Domains() {
-		pr, err := d.Pair()
+		set, err := d.Set()
 		if err != nil {
 			return nil, err
 		}
-		fpga := pr.FPGA
+		fpga := set[0]
 		fpga.ChipLifetime = units.YearsOf(fig9ChipLifetimeYears)
 
 		fRes, err := lifecycle.Run(lifecycle.Config{
@@ -52,7 +52,7 @@ func fig9() (*Output, error) {
 			return nil, err
 		}
 		aRes, err := lifecycle.Run(lifecycle.Config{
-			Platform:    pr.ASIC,
+			Platform:    set[1],
 			AppLifetime: units.YearsOf(fig9AppLifetimeYears),
 			Horizon:     units.YearsOf(fig9HorizonYears),
 			Volume:      isoperf.ReferenceVolume,

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"greenfpga/internal/carbon"
 	"greenfpga/internal/deploy"
 	"greenfpga/internal/device"
-	"greenfpga/internal/grid"
 	"greenfpga/internal/report"
 	"greenfpga/internal/units"
 )
@@ -24,7 +24,35 @@ func carbonScheduling() (*Output, error) {
 		return nil, err
 	}
 	base := units.GramsPerKWh(440) // world-average-like grid
-	const fleet = 50e3
+	const fleet, pue = 50e3, 1.2
+	// One busy hour at full draw, in kWh: Convolve's (kg/kWh)·h
+	// integral times this is a device's annual kg.
+	peakKWh := spec.PeakPower.Scale(pue).OverHours(1).KWh()
+
+	// A solar-influenced day per midday dip: the base intensity dips
+	// across 10:00-16:00 with half-depth shoulders at 08:00-10:00 and
+	// 16:00-18:00, and rises by half the dip across the evening peak
+	// (18:00-22:00) when gas fills the solar gap.
+	dips := []float64{0, 0.3, 0.6}
+	days := make([]*carbon.Integrator, len(dips))
+	for i, dip := range dips {
+		day := make(carbon.Trace, 24)
+		for h := range day {
+			scale := 1.0
+			switch {
+			case h >= 10 && h < 16:
+				scale = 1 - dip
+			case (h >= 8 && h < 10) || (h >= 16 && h < 18):
+				scale = 1 - dip/2
+			case h >= 18 && h < 22:
+				scale = 1 + dip/2
+			}
+			day[h] = base.Scale(scale)
+		}
+		if days[i], err = carbon.NewIntegrator(day); err != nil {
+			return nil, err
+		}
+	}
 
 	windows := []struct {
 		name  string
@@ -43,28 +71,32 @@ func carbonScheduling() (*Output, error) {
 	var bestName, worstName string
 	var bestKg, worstKg float64
 	for _, w := range windows {
-		tp := deploy.TraceProfile{
-			PeakPower: spec.PeakPower,
-			Trace:     deploy.Diurnal(w.start, 8, 0.9, 0.1),
-			PUE:       1.2,
+		// 8 busy hours at 90% draw from w.start, idle at 10% otherwise.
+		util := make([]float64, 24)
+		var mean float64
+		for h := range util {
+			util[h] = 0.1
+			if (h-w.start+24)%24 < 8 {
+				util[h] = 0.9
+			}
+			mean += util[h]
 		}
-		flatCarbon, err := tp.AnnualCarbon() // uses the default world mix
+		mean /= 24
+		flatCarbon, err := deploy.OperationProfile{
+			PeakPower: spec.PeakPower, DutyCycle: mean, PUE: pue,
+		}.AnnualCarbon() // uses the default world mix
 		if err != nil {
 			return nil, err
 		}
 		row := []string{w.name, fmt.Sprintf("%.1f", flatCarbon.Scale(fleet).Kilotonnes())}
-		for _, dip := range []float64{0, 0.3, 0.6} {
-			it, err := grid.SolarDay(base, dip)
+		for i, day := range days {
+			intensityHours, err := day.Convolve(util)
 			if err != nil {
 				return nil, err
 			}
-			c, err := tp.AnnualCarbonOnGrid(it)
-			if err != nil {
-				return nil, err
-			}
-			fleetKg := c.Scale(fleet).Kilograms()
+			fleetKg := intensityHours * peakKWh * fleet
 			row = append(row, fmt.Sprintf("%.1f", fleetKg/1e6))
-			if dip == 0.6 {
+			if dips[i] == 0.6 {
 				if bestName == "" || fleetKg < bestKg {
 					bestName, bestKg = w.name, fleetKg
 				}

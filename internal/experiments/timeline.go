@@ -38,16 +38,19 @@ func timelineStaggered() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		return nil, err
 	}
-	pr.FPGA.ChipLifetime = units.YearsOf(timelineChipLifetimeYears)
-	pr.ASIC.ChipLifetime = units.YearsOf(timelineChipLifetimeYears)
-	cp, err := pr.Compile()
+	pair := set[:2]
+	for i := range pair {
+		pair[i].ChipLifetime = units.YearsOf(timelineChipLifetimeYears)
+	}
+	cs, err := pair.Compile()
 	if err != nil {
 		return nil, err
 	}
+	fpgaC, asicC := cs[0], cs[1]
 
 	t := report.NewTable(
 		fmt.Sprintf("DNN totals vs N_app with an %d-year refresh cap (T=2y, V=1e6) [ktCO2e]",
@@ -56,15 +59,15 @@ func timelineStaggered() (*Output, error) {
 	var seqCross, stagCross int
 	for n := 1; n <= timelineMaxApps; n++ {
 		uniform := core.Uniform("t", n, isoperf.ReferenceLifetime(), isoperf.ReferenceVolume, 0)
-		asic, err := cp.ASIC.EvaluateSchedule(core.Sequential(uniform))
+		asic, err := asicC.EvaluateSchedule(core.Sequential(uniform))
 		if err != nil {
 			return nil, err
 		}
-		seq, err := cp.FPGA.EvaluateSchedule(core.Sequential(uniform))
+		seq, err := fpgaC.EvaluateSchedule(core.Sequential(uniform))
 		if err != nil {
 			return nil, err
 		}
-		stag, err := cp.FPGA.EvaluateSchedule(core.Staggered("t", n,
+		stag, err := fpgaC.EvaluateSchedule(core.Staggered("t", n,
 			units.YearsOf(timelineIntervalYears), isoperf.ReferenceLifetime(),
 			isoperf.ReferenceVolume, 0))
 		if err != nil {

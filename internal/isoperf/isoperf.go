@@ -10,10 +10,10 @@
 //
 // Each domain carries a calibrated ASIC reference testcase (10 nm die
 // area, peak power, duty cycle, design staffing) chosen so the paper's
-// §4.2 crossover observations are reproduced; EXPERIMENTS.md documents
-// the calibration. Pair() builds the core.Pair that the experiments
-// sweep; Set() widens it with the domain's calibrated GPU and CPU
-// iso-performance platforms for the four-way comparison.
+// §4.2 crossover observations are reproduced. Set() builds the
+// domain's platforms: the FPGA/ASIC pair the experiments sweep as
+// members 0 and 1, then the calibrated GPU and CPU iso-performance
+// platforms for the four-way comparison.
 package isoperf
 
 import (
@@ -170,19 +170,6 @@ func (d Domain) Validate() error {
 	return nil
 }
 
-// pairCache memoizes Pair for the calibrated domains only. A Domain
-// is a small comparable struct, so the pair it maps to is a pure
-// function of its fields; experiments re-resolve the same three
-// calibrated domains for every artifact, and without the cache each
-// resolution re-runs the node lookup and yield model. Modified
-// domains (a caller varying a field per evaluation, say) bypass the
-// cache entirely — every key would be unique, so caching them would
-// only buy mutex contention and garbage.
-var pairCache struct {
-	sync.Mutex
-	m map[Domain]core.Pair
-}
-
 // calibrated reports whether d is one of the built-in testcases.
 func (d Domain) calibrated() bool {
 	for _, c := range domains {
@@ -193,49 +180,14 @@ func (d Domain) calibrated() bool {
 	return false
 }
 
-// Pair builds the iso-performance platform pair for the domain. The
-// FPGA side carries AreaRatio times the ASIC silicon and PowerRatio
-// times its power; both sides share the ASIC's die yield so the
-// embodied ratio equals Table 2's silicon ratio exactly (the paper's
-// reading: equivalent FPGA capacity comes from devices of comparable
-// yield, not one giant low-yield die). Results for the calibrated
-// domains are memoized, so repeated resolution across experiment
-// artifacts is a map lookup.
-func (d Domain) Pair() (core.Pair, error) {
-	if !d.calibrated() {
-		return d.buildPair()
-	}
-	pairCache.Lock()
-	pr, ok := pairCache.m[d]
-	pairCache.Unlock()
-	if ok {
-		return pr, nil
-	}
-	pr, err := d.buildPair()
-	if err != nil {
-		return core.Pair{}, err
-	}
-	pairCache.Lock()
-	if pairCache.m == nil {
-		pairCache.m = make(map[Domain]core.Pair)
-	}
-	pairCache.m[d] = pr
-	pairCache.Unlock()
-	return pr, nil
-}
-
-// buildPair constructs the pair without consulting the cache: the
-// FPGA and ASIC members of the domain set.
-func (d Domain) buildPair() (core.Pair, error) {
-	set, err := d.buildSet()
-	if err != nil {
-		return core.Pair{}, err
-	}
-	return core.Pair{FPGA: set[0], ASIC: set[1]}, nil
-}
-
-// setCache memoizes Set for the calibrated domains, mirroring
-// pairCache (see its comment for the modified-domain bypass).
+// setCache memoizes Set for the calibrated domains only. A Domain is
+// a small comparable struct, so the set it maps to is a pure function
+// of its fields; experiments re-resolve the same three calibrated
+// domains for every artifact, and without the cache each resolution
+// re-runs the node lookup and yield model. Modified domains (a caller
+// varying a field per evaluation, say) bypass the cache entirely —
+// every key would be unique, so caching them would only buy mutex
+// contention and garbage.
 var setCache struct {
 	sync.Mutex
 	m map[Domain]core.Set
@@ -243,9 +195,13 @@ var setCache struct {
 
 // Set builds the domain's full iso-performance platform set, ordered
 // FPGA, ASIC, then GPU and CPU where the domain calibrates them. The
-// FPGA and ASIC members are identical to Pair()'s — Set is the
-// N-platform generalization, not a different calibration. Results for
-// the calibrated domains are memoized.
+// FPGA side carries AreaRatio times the ASIC silicon and PowerRatio
+// times its power; both sides share the ASIC's die yield so the
+// embodied ratio equals Table 2's silicon ratio exactly (the paper's
+// reading: equivalent FPGA capacity comes from devices of comparable
+// yield, not one giant low-yield die). Results for the calibrated
+// domains are memoized, so repeated resolution across experiment
+// artifacts is a map lookup.
 func (d Domain) Set() (core.Set, error) {
 	if !d.calibrated() {
 		return d.buildSet()

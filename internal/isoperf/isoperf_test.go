@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"greenfpga/internal/core"
+	"greenfpga/internal/device"
 	"greenfpga/internal/units"
 )
 
@@ -66,34 +67,40 @@ func TestValidateRejectsBadDomains(t *testing.T) {
 		if d.Validate() == nil {
 			t.Errorf("mutation %d should invalidate", i)
 		}
-		if _, err := d.Pair(); err == nil {
-			t.Errorf("mutation %d: Pair should fail", i)
+		if _, err := d.Set(); err == nil {
+			t.Errorf("mutation %d: Set should fail", i)
 		}
 	}
 }
 
+// TestPairConstruction pins the FPGA/ASIC pair the paper compares:
+// members 0 and 1 of the domain set.
 func TestPairConstruction(t *testing.T) {
 	d, _ := ByName("DNN")
-	pr, err := d.Pair()
+	set, err := d.Set()
 	if err != nil {
 		t.Fatal(err)
+	}
+	fpga, asic := set[0], set[1]
+	if fpga.Spec.Kind != device.FPGA || asic.Spec.Kind != device.ASIC {
+		t.Fatalf("set members 0/1 are %s/%s, want fpga/asic", fpga.Spec.Kind, asic.Spec.Kind)
 	}
 	// FPGA silicon and power follow Table 2 exactly.
-	if pr.FPGA.Spec.DieArea != pr.ASIC.Spec.DieArea.Scale(4) {
-		t.Errorf("FPGA area %v, want 4x %v", pr.FPGA.Spec.DieArea, pr.ASIC.Spec.DieArea)
+	if fpga.Spec.DieArea != asic.Spec.DieArea.Scale(4) {
+		t.Errorf("FPGA area %v, want 4x %v", fpga.Spec.DieArea, asic.Spec.DieArea)
 	}
-	if pr.FPGA.Spec.PeakPower != pr.ASIC.Spec.PeakPower.Scale(3) {
-		t.Errorf("FPGA power %v, want 3x %v", pr.FPGA.Spec.PeakPower, pr.ASIC.Spec.PeakPower)
+	if fpga.Spec.PeakPower != asic.Spec.PeakPower.Scale(3) {
+		t.Errorf("FPGA power %v, want 3x %v", fpga.Spec.PeakPower, asic.Spec.PeakPower)
 	}
 	// Both sides share the ASIC yield so embodied scales linearly.
-	if pr.FPGA.YieldOverride != pr.ASIC.YieldOverride || pr.FPGA.YieldOverride <= 0 {
-		t.Errorf("yield overrides: %g vs %g", pr.FPGA.YieldOverride, pr.ASIC.YieldOverride)
+	if fpga.YieldOverride != asic.YieldOverride || fpga.YieldOverride <= 0 {
+		t.Errorf("yield overrides: %g vs %g", fpga.YieldOverride, asic.YieldOverride)
 	}
-	fdc, err := pr.FPGA.DeviceCost()
+	fdc, err := fpga.DeviceCost()
 	if err != nil {
 		t.Fatal(err)
 	}
-	adc, err := pr.ASIC.DeviceCost()
+	adc, err := asic.DeviceCost()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,58 +109,17 @@ func TestPairConstruction(t *testing.T) {
 		t.Errorf("embodied manufacturing ratio %g, want 4", gotRatio)
 	}
 	// Design CFP is shared (same staffing, fabric regularity).
-	fd, _ := pr.FPGA.DesignCFP()
-	ad, _ := pr.ASIC.DesignCFP()
+	fd, _ := fpga.DesignCFP()
+	ad, _ := asic.DesignCFP()
 	if fd != ad {
 		t.Errorf("design CFP differs: %v vs %v", fd, ad)
 	}
 }
 
-// TestPairCache asserts memoized pairs reproduce a fresh build, that
-// cached copies are isolated from caller mutation, and that modified
-// domains do not collide with calibrated ones.
-func TestPairCache(t *testing.T) {
-	d, _ := ByName("DNN")
-	fresh, err := d.buildPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := d.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached, fresh) {
-		t.Fatalf("cached pair diverges from fresh build:\ngot  %+v\nwant %+v", cached, fresh)
-	}
-	// Mutating a returned pair must not poison later lookups.
-	cached.FPGA.DutyCycle = 0.99
-	again, err := d.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.FPGA.DutyCycle == 0.99 {
-		t.Fatal("cache returned a mutated pair")
-	}
-	// A modified domain keys a different entry.
-	dd := d
-	dd.DutyCycle = 0.17
-	variant, err := dd.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if variant.FPGA.DutyCycle != 0.17 {
-		t.Fatalf("variant domain duty %g, want 0.17", variant.FPGA.DutyCycle)
-	}
-}
-
-// TestSetExtendsPair asserts the domain set is the pair plus the
-// calibrated GPU and CPU platforms, with the shared members identical.
+// TestSetExtendsPair asserts the domain set is the FPGA/ASIC pair plus
+// the calibrated GPU and CPU platforms.
 func TestSetExtendsPair(t *testing.T) {
 	for _, d := range Domains() {
-		pr, err := d.Pair()
-		if err != nil {
-			t.Fatal(err)
-		}
 		set, err := d.Set()
 		if err != nil {
 			t.Fatal(err)
@@ -161,8 +127,8 @@ func TestSetExtendsPair(t *testing.T) {
 		if len(set) != 4 {
 			t.Fatalf("%s set has %d platforms, want 4 (FPGA, ASIC, GPU, CPU)", d.Name, len(set))
 		}
-		if !reflect.DeepEqual(set[0], pr.FPGA) || !reflect.DeepEqual(set[1], pr.ASIC) {
-			t.Errorf("%s set FPGA/ASIC diverge from Pair()", d.Name)
+		if set[0].Spec.Kind != device.FPGA || set[1].Spec.Kind != device.ASIC {
+			t.Errorf("%s set members 0/1 are %s/%s, want fpga/asic", d.Name, set[0].Spec.Kind, set[1].Spec.Kind)
 		}
 		gpu, cpu := set[2], set[3]
 		if gpu.Spec.Kind != "gpu" || cpu.Spec.Kind != "cpu" {
@@ -172,19 +138,28 @@ func TestSetExtendsPair(t *testing.T) {
 			gpu.Spec.PeakPower != d.ASICPeakPower.Scale(d.GPUPowerRatio) {
 			t.Errorf("%s GPU spec off calibration: %+v", d.Name, gpu.Spec)
 		}
-		if gpu.YieldOverride != pr.ASIC.YieldOverride || gpu.DutyCycle != d.DutyCycle {
+		if gpu.YieldOverride != set[1].YieldOverride || gpu.DutyCycle != d.DutyCycle {
 			t.Errorf("%s GPU must share the common deployment knobs", d.Name)
 		}
 	}
 }
 
-// TestSetCacheIsolation asserts memoized sets are isolated from caller
-// mutation and that ratio-free domains drop the extension platforms.
+// TestSetCacheIsolation asserts memoized sets reproduce a fresh build,
+// are isolated from caller mutation, that modified domains do not
+// collide with calibrated ones, and that ratio-free domains drop the
+// extension platforms.
 func TestSetCacheIsolation(t *testing.T) {
 	d, _ := ByName("DNN")
+	fresh, err := d.buildSet()
+	if err != nil {
+		t.Fatal(err)
+	}
 	set, err := d.Set()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set, fresh) {
+		t.Fatalf("cached set diverges from fresh build:\ngot  %+v\nwant %+v", set, fresh)
 	}
 	set[0].DutyCycle = 0.99
 	again, err := d.Set()
@@ -193,6 +168,15 @@ func TestSetCacheIsolation(t *testing.T) {
 	}
 	if again[0].DutyCycle == 0.99 {
 		t.Fatal("set cache returned a mutated set")
+	}
+	variant := d
+	variant.DutyCycle = 0.17
+	vset, err := variant.Set()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vset[0].DutyCycle != 0.17 {
+		t.Fatalf("variant domain duty %g, want 0.17", vset[0].DutyCycle)
 	}
 	dd := d
 	dd.GPUAreaRatio, dd.GPUPowerRatio = 0, 0
@@ -211,16 +195,32 @@ func TestSetCacheIsolation(t *testing.T) {
 	}
 }
 
+// compiledPair compiles the domain's FPGA/ASIC pair: members 0 and 1
+// of its platform set.
+func compiledPair(t *testing.T, name string) core.CompiledSet {
+	t.Helper()
+	d, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := d.Set()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := set[:2].Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
 // The headline §4.2 experiment-A result: DNN A2F after 6 applications,
 // ImgProc after 12, Crypto after the first.
 func TestPaperCrossoverNumApps(t *testing.T) {
 	want := map[string]int{"DNN": 6, "ImgProc": 12, "Crypto": 2}
 	for _, d := range Domains() {
-		pr, err := d.Pair()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, found, err := pr.CrossoverNumApps(ReferenceLifetime(), ReferenceVolume, 0, 20)
+		pr := compiledPair(t, d.Name)
+		n, found, err := core.CrossoverNumAppsBetween(pr[0], pr[1], ReferenceLifetime(), ReferenceVolume, 0, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,12 +234,8 @@ func TestPaperCrossoverNumApps(t *testing.T) {
 // The §4.2 experiment-B result: DNN F2A at ~1.6 years; ImgProc always
 // ASIC; Crypto always FPGA across T in [0.2, 2.5].
 func TestPaperCrossoverLifetime(t *testing.T) {
-	dnn, _ := ByName("DNN")
-	pr, err := dnn.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tstar, found, err := pr.CrossoverLifetime(ReferenceNumApps, ReferenceVolume, 0,
+	pr := compiledPair(t, "DNN")
+	tstar, found, err := core.CrossoverLifetimeBetween(pr[0], pr[1], ReferenceNumApps, ReferenceVolume, 0,
 		units.YearsOf(0.2), units.YearsOf(2.5))
 	if err != nil {
 		t.Fatal(err)
@@ -249,21 +245,18 @@ func TestPaperCrossoverLifetime(t *testing.T) {
 	}
 
 	check := func(name string, wantFPGAAlways bool) {
-		d, _ := ByName(name)
-		p, err := d.Pair()
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := compiledPair(t, name)
 		for _, ty := range []float64{0.2, 1.0, 2.5} {
 			c, err := p.Compare(core.Uniform("b", ReferenceNumApps, units.YearsOf(ty), ReferenceVolume, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantFPGAAlways && c.Ratio >= 1 {
-				t.Errorf("%s at T=%g: ratio %g, FPGA should always win", name, ty, c.Ratio)
+			ratio := c.Ratio(0, 1)
+			if wantFPGAAlways && ratio >= 1 {
+				t.Errorf("%s at T=%g: ratio %g, FPGA should always win", name, ty, ratio)
 			}
-			if !wantFPGAAlways && c.Ratio <= 1 {
-				t.Errorf("%s at T=%g: ratio %g, ASIC should always win", name, ty, c.Ratio)
+			if !wantFPGAAlways && ratio <= 1 {
+				t.Errorf("%s at T=%g: ratio %g, ASIC should always win", name, ty, ratio)
 			}
 		}
 	}
@@ -273,14 +266,10 @@ func TestPaperCrossoverLifetime(t *testing.T) {
 
 // The §4.2 experiment-C result: ImgProc F2A at ~300K units; DNN F2A in
 // the high-hundreds-of-thousands (the paper extrapolates "2M" beyond
-// its own 1e6 sweep; see EXPERIMENTS.md); Crypto always FPGA.
+// its own 1e6 sweep); Crypto always FPGA.
 func TestPaperCrossoverVolume(t *testing.T) {
-	img, _ := ByName("ImgProc")
-	pr, err := img.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, found, err := pr.CrossoverVolume(ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
+	pr := compiledPair(t, "ImgProc")
+	v, found, err := core.CrossoverVolumeBetween(pr[0], pr[1], ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +277,8 @@ func TestPaperCrossoverVolume(t *testing.T) {
 		t.Errorf("ImgProc F2A at %g units (found=%v), paper expects ~300K", v, found)
 	}
 
-	dnn, _ := ByName("DNN")
-	pd, _ := dnn.Pair()
-	vd, found, err := pd.CrossoverVolume(ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
+	pd := compiledPair(t, "DNN")
+	vd, found, err := core.CrossoverVolumeBetween(pd[0], pd[1], ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +286,8 @@ func TestPaperCrossoverVolume(t *testing.T) {
 		t.Errorf("DNN F2A at %g units (found=%v), expected within [0.4M, 3M]", vd, found)
 	}
 
-	crypto, _ := ByName("Crypto")
-	pc, _ := crypto.Pair()
-	_, found, err = pc.CrossoverVolume(ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
+	pc := compiledPair(t, "Crypto")
+	_, found, err = core.CrossoverVolumeBetween(pc[0], pc[1], ReferenceNumApps, ReferenceLifetime(), 0, 1e3, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +305,7 @@ func TestQuickVolumeHomogeneity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := dnn.Pair()
+	set, err := dnn.Set()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +315,8 @@ func TestQuickVolumeHomogeneity(t *testing.T) {
 		if math.IsNaN(v) {
 			return true
 		}
-		small, err1 := core.Evaluate(pr.FPGA, core.Uniform("s", 3, units.YearsOf(1), v, 0))
-		big, err2 := core.Evaluate(pr.FPGA, core.Uniform("b", 3, units.YearsOf(1), v*k, 0))
+		small, err1 := core.Evaluate(set[0], core.Uniform("s", 3, units.YearsOf(1), v, 0))
+		big, err2 := core.Evaluate(set[0], core.Uniform("b", 3, units.YearsOf(1), v*k, 0))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -350,11 +337,7 @@ func TestQuickVolumeHomogeneity(t *testing.T) {
 // The Fig. 2 headline: one application leaves the FPGA well above the
 // ASIC; ten applications put it ~20-25% below.
 func TestPaperFig2Headline(t *testing.T) {
-	dnn, _ := ByName("DNN")
-	pr, err := dnn.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := compiledPair(t, "DNN")
 	one, err := pr.Compare(core.Uniform("one", 1, ReferenceLifetime(), ReferenceVolume, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -363,10 +346,10 @@ func TestPaperFig2Headline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Ratio <= 1.5 {
-		t.Errorf("single-app ratio %g, expected FPGA clearly above ASIC", one.Ratio)
+	if one.Ratio(0, 1) <= 1.5 {
+		t.Errorf("single-app ratio %g, expected FPGA clearly above ASIC", one.Ratio(0, 1))
 	}
-	saving := 1 - ten.Ratio
+	saving := 1 - ten.Ratio(0, 1)
 	if saving < 0.18 || saving > 0.30 {
 		t.Errorf("ten-app saving %.1f%%, paper reports ~25%%", saving*100)
 	}

@@ -84,44 +84,6 @@ func IntRange(lo, hi int) []float64 {
 	return out
 }
 
-// PairEval evaluates both platforms at one axis value.
-type PairEval func(x float64) (fpga, asic units.Mass, err error)
-
-// Point1D is one sample of a 1-D sweep.
-type Point1D struct {
-	// X is the axis value.
-	X float64
-	// FPGA and ASIC are the platform totals.
-	FPGA, ASIC units.Mass
-	// Ratio is FPGA:ASIC.
-	Ratio float64
-}
-
-// Run1D evaluates the axis in parallel and returns points in axis
-// order.
-func Run1D(axis Axis, eval PairEval) ([]Point1D, error) {
-	if err := axis.Validate(); err != nil {
-		return nil, err
-	}
-	if eval == nil {
-		return nil, fmt.Errorf("sweep: nil evaluator")
-	}
-	pts := make([]Point1D, len(axis.Values))
-	err := runPool(len(axis.Values), func(i int) error {
-		x := axis.Values[i]
-		f, a, err := eval(x)
-		if err != nil {
-			return err
-		}
-		pts[i] = Point1D{X: x, FPGA: f, ASIC: a, Ratio: ratio(f, a)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
 // SetEval evaluates an N-platform set at one axis value, filling one
 // total per platform in set order. The totals slice is the point's
 // own backing array — implementations must not retain it.
@@ -136,9 +98,7 @@ type PointN struct {
 }
 
 // RunN evaluates the axis for an n-platform set in parallel and
-// returns points in axis order — the N-platform generalization of
-// Run1D (which remains the dedicated FPGA/ASIC pair shape with its
-// ratio column).
+// returns points in axis order.
 func RunN(axis Axis, n int, eval SetEval) ([]PointN, error) {
 	return RunRangeN(axis, n, 0, len(axis.Values), eval)
 }
@@ -185,8 +145,6 @@ type PairEval2D func(x, y float64) (fpga, asic units.Mass, err error)
 type Grid struct {
 	// XAxis and YAxis are the swept parameters.
 	XAxis, YAxis Axis
-	// FPGA and ASIC hold the platform totals per cell.
-	FPGA, ASIC [][]units.Mass
 	// Ratio holds FPGA:ASIC per cell.
 	Ratio [][]float64
 }
@@ -203,12 +161,8 @@ func Run2D(x, y Axis, eval PairEval2D) (*Grid, error) {
 		return nil, fmt.Errorf("sweep: nil evaluator")
 	}
 	g := &Grid{XAxis: x, YAxis: y}
-	g.FPGA = make([][]units.Mass, len(y.Values))
-	g.ASIC = make([][]units.Mass, len(y.Values))
 	g.Ratio = make([][]float64, len(y.Values))
 	for yi := range y.Values {
-		g.FPGA[yi] = make([]units.Mass, len(x.Values))
-		g.ASIC[yi] = make([]units.Mass, len(x.Values))
 		g.Ratio[yi] = make([]float64, len(x.Values))
 	}
 	err := runPool(len(x.Values)*len(y.Values), func(i int) error {
@@ -217,8 +171,6 @@ func Run2D(x, y Axis, eval PairEval2D) (*Grid, error) {
 		if err != nil {
 			return err
 		}
-		g.FPGA[yi][xi] = f
-		g.ASIC[yi][xi] = a
 		g.Ratio[yi][xi] = ratio(f, a)
 		return nil
 	})

@@ -54,51 +54,6 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
-func TestRun1D(t *testing.T) {
-	axis := Axis{Name: "x", Values: Linspace(1, 10, 10)}
-	pts, err := Run1D(axis, func(x float64) (units.Mass, units.Mass, error) {
-		return units.Kilograms(2 * x), units.Kilograms(x), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 10 {
-		t.Fatalf("points: %d", len(pts))
-	}
-	for i, p := range pts {
-		if p.X != axis.Values[i] {
-			t.Errorf("order violated at %d: %g", i, p.X)
-		}
-		if math.Abs(p.Ratio-2) > 1e-12 {
-			t.Errorf("ratio at %g: %g", p.X, p.Ratio)
-		}
-	}
-}
-
-func TestRun1DErrors(t *testing.T) {
-	ok := func(x float64) (units.Mass, units.Mass, error) { return 1, 1, nil }
-	if _, err := Run1D(Axis{Name: "empty"}, ok); err == nil {
-		t.Error("empty axis must error")
-	}
-	if _, err := Run1D(Axis{Name: "nan", Values: []float64{math.NaN()}}, ok); err == nil {
-		t.Error("NaN axis must error")
-	}
-	if _, err := Run1D(Axis{Name: "x", Values: []float64{1}}, nil); err == nil {
-		t.Error("nil evaluator must error")
-	}
-	boom := errors.New("boom")
-	_, err := Run1D(Axis{Name: "x", Values: Linspace(0, 1, 8)},
-		func(x float64) (units.Mass, units.Mass, error) {
-			if x > 0.5 {
-				return 0, 0, boom
-			}
-			return 1, 1, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Errorf("evaluator error not propagated: %v", err)
-	}
-}
-
 func TestRun2D(t *testing.T) {
 	x := Axis{Name: "x", Values: Linspace(1, 4, 4)}
 	y := Axis{Name: "y", Values: Linspace(1, 3, 3)}
@@ -113,9 +68,6 @@ func TestRun2D(t *testing.T) {
 	}
 	if math.Abs(g.Ratio[2][3]-(4*3)/2.0) > 1e-12 {
 		t.Errorf("ratio[2][3] = %g", g.Ratio[2][3])
-	}
-	if g.FPGA[1][1].Kilograms() != 2*2 {
-		t.Errorf("fpga[1][1] = %v", g.FPGA[1][1])
 	}
 }
 
@@ -223,11 +175,12 @@ func TestRunPoolCoversEveryCell(t *testing.T) {
 func TestRunPoolFirstErrorDeterministic(t *testing.T) {
 	axis := Axis{Name: "x", Values: IntRange(0, 100)}
 	for trial := 0; trial < 10; trial++ {
-		_, err := Run1D(axis, func(x float64) (units.Mass, units.Mass, error) {
+		_, err := RunN(axis, 2, func(x float64, totals []units.Mass) error {
 			if x >= 50 {
-				return 0, 0, fmt.Errorf("boom at %d", int(x))
+				return fmt.Errorf("boom at %d", int(x))
 			}
-			return 1, 1, nil
+			totals[0], totals[1] = 1, 1
+			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom at 50") {
 			t.Fatalf("trial %d: want the lowest failing cell's error, got %v", trial, err)
@@ -235,21 +188,22 @@ func TestRunPoolFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
-// Property: 1-D sweeps preserve pointwise results regardless of
-// parallel execution order.
-func TestQuickRun1DDeterministic(t *testing.T) {
+// Property: N-platform sweeps preserve pointwise results regardless
+// of parallel execution order.
+func TestQuickRunNDeterministic(t *testing.T) {
 	f := func(seed uint8) bool {
 		axis := Axis{Name: "x", Values: Linspace(float64(seed), float64(seed)+10, 16)}
-		eval := func(x float64) (units.Mass, units.Mass, error) {
-			return units.Kilograms(x * x), units.Kilograms(x + 1), nil
+		eval := func(x float64, totals []units.Mass) error {
+			totals[0], totals[1] = units.Kilograms(x*x), units.Kilograms(x+1)
+			return nil
 		}
-		a, err1 := Run1D(axis, eval)
-		b, err2 := Run1D(axis, eval)
+		a, err1 := RunN(axis, 2, eval)
+		b, err2 := RunN(axis, 2, eval)
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if a[i].X != b[i].X || a[i].Totals[0] != b[i].Totals[0] || a[i].Totals[1] != b[i].Totals[1] {
 				return false
 			}
 		}
@@ -261,7 +215,7 @@ func TestQuickRun1DDeterministic(t *testing.T) {
 }
 
 // TestRunN checks the N-platform sweep: totals land in axis and set
-// order, and it agrees with Run1D on the two-platform shape.
+// order.
 func TestRunN(t *testing.T) {
 	axis := Axis{Name: "x", Values: Linspace(1, 4, 4)}
 	pts, err := RunN(axis, 3, func(x float64, totals []units.Mass) error {
@@ -287,27 +241,6 @@ func TestRunN(t *testing.T) {
 			}
 		}
 	}
-	// Two-platform agreement with Run1D.
-	pairEval := func(x float64) (units.Mass, units.Mass, error) {
-		return units.Kilograms(x * x), units.Kilograms(x + 1), nil
-	}
-	p1, err := Run1D(axis, pairEval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn, err := RunN(axis, 2, func(x float64, totals []units.Mass) error {
-		f, a, err := pairEval(x)
-		totals[0], totals[1] = f, a
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p1 {
-		if p1[i].FPGA != pn[i].Totals[0] || p1[i].ASIC != pn[i].Totals[1] {
-			t.Errorf("point %d: Run1D %+v vs RunN %+v", i, p1[i], pn[i])
-		}
-	}
 }
 
 // TestRunNErrors covers the argument checks and evaluator failures.
@@ -322,8 +255,21 @@ func TestRunNErrors(t *testing.T) {
 	if _, err := RunN(Axis{}, 1, func(float64, []units.Mass) error { return nil }); err == nil {
 		t.Error("invalid axis must error")
 	}
+	if _, err := RunN(Axis{Name: "nan", Values: []float64{math.NaN()}}, 1, func(float64, []units.Mass) error { return nil }); err == nil {
+		t.Error("NaN axis must error")
+	}
 	boom := fmt.Errorf("boom")
 	if _, err := RunN(axis, 1, func(float64, []units.Mass) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("evaluator error not surfaced: %v", err)
+	}
+	// A failure on only some points still fails the sweep.
+	_, err := RunN(Axis{Name: "x", Values: Linspace(0, 1, 8)}, 2, func(x float64, totals []units.Mass) error {
+		if x > 0.5 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("partial evaluator error not surfaced: %v", err)
 	}
 }
