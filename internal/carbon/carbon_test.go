@@ -270,7 +270,7 @@ func TestShiftFlatEqualsUnshifted(t *testing.T) {
 		t.Fatalf("Shift: %v", err)
 	}
 	for _, hours := range []float64{24, 8760, 2.5 * 8760} {
-		shifted := sp.Window(0, hours)       // x peak hourly energy
+		shifted := sp.Window(0, hours)        // x peak hourly energy
 		uniform := duty * it.Window(0, hours) // duty-scaled draw, x peak hourly energy
 		if math.Abs(shifted-uniform) > 1e-9*uniform {
 			t.Errorf("flat shift over %g h = %v, uniform %v", hours, shifted, uniform)

@@ -574,6 +574,45 @@ func TestCompiledCrossoversMatchLegacyScan(t *testing.T) {
 	}
 }
 
+// TestCompiledPairCompareMatchesPair pins the compiled FPGA/ASIC pair
+// (a two-member set, FPGA first) against the pair evaluated platform
+// by platform on the uncompiled path: the same assessments, the same
+// FPGA:ASIC ratio and the same winner.
+func TestCompiledPairCompareMatchesPair(t *testing.T) {
+	fpga, asic := testPlatforms(t)
+	cs, err := Set{fpga, asic}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Uniform("cmp", 4, units.YearsOf(1.5), 2e5, 0)
+	wantF, err := Evaluate(fpga, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := Evaluate(asic, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cs.Compare(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Assessments, []Assessment{wantF, wantA}) {
+		t.Fatalf("compiled pair diverges:\ngot  %+v\nwant %+v", got.Assessments, []Assessment{wantF, wantA})
+	}
+	ratio := wantF.Total().Kilograms() / wantA.Total().Kilograms()
+	if got.Ratio(0, 1) != ratio {
+		t.Errorf("FPGA:ASIC ratio %g, want %g", got.Ratio(0, 1), ratio)
+	}
+	wantWinner := 1
+	if ratio < 1 {
+		wantWinner = 0
+	}
+	if got.Winner != wantWinner {
+		t.Errorf("winner %d, want %d (ratio %g)", got.Winner, wantWinner, ratio)
+	}
+}
+
 // TestEvaluateUniformGenerationBoundary pins the chip-lifetime
 // boundary case: 0.7*10 is exactly 7.0 under IEEE-754 but summing ten
 // 0.7s exceeds it, so a multiplied total would under-count hardware

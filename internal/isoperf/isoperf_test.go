@@ -144,6 +144,45 @@ func TestSetExtendsPair(t *testing.T) {
 	}
 }
 
+// TestPairCache asserts every domain's memoized FPGA/ASIC pair
+// (members 0 and 1 of Set) reproduces a fresh build, is isolated from
+// caller mutation of either member, and that a modified domain keys a
+// different entry.
+func TestPairCache(t *testing.T) {
+	for _, d := range Domains() {
+		fresh, err := d.buildSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := d.Set()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cached[:2], fresh[:2]) {
+			t.Fatalf("%s: cached pair diverges from fresh build:\ngot  %+v\nwant %+v", d.Name, cached[:2], fresh[:2])
+		}
+		// Mutating a returned pair must not poison later lookups.
+		cached[0].DutyCycle = 0.99
+		cached[1].Spec.PeakPower = units.Watts(1)
+		again, err := d.Set()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again[:2], fresh[:2]) {
+			t.Fatalf("%s: cache returned a mutated pair", d.Name)
+		}
+		variant := d
+		variant.DutyCycle = 0.17
+		vset, err := variant.Set()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vset[0].DutyCycle != 0.17 || vset[1].DutyCycle != 0.17 {
+			t.Fatalf("%s: variant domain pair duty %g/%g, want 0.17", d.Name, vset[0].DutyCycle, vset[1].DutyCycle)
+		}
+	}
+}
+
 // TestSetCacheIsolation asserts memoized sets reproduce a fresh build,
 // are isolated from caller mutation, that modified domains do not
 // collide with calibrated ones, and that ratio-free domains drop the

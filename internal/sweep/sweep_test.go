@@ -54,6 +54,64 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
+// pairEval adapts an FPGA/ASIC evaluator to a two-member set sweep,
+// the 1-D sweep shape of figs. 4-6 (Totals[0]/[1] = FPGA/ASIC).
+func pairEval(eval func(x float64) (fpga, asic units.Mass, err error)) SetEval {
+	return func(x float64, totals []units.Mass) (err error) {
+		totals[0], totals[1], err = eval(x)
+		return err
+	}
+}
+
+// TestRun1D checks a one-axis FPGA/ASIC sweep: points in axis order,
+// each with its FPGA:ASIC ratio.
+func TestRun1D(t *testing.T) {
+	axis := Axis{Name: "x", Values: Linspace(1, 10, 10)}
+	pts, err := RunN(axis, 2, pairEval(func(x float64) (units.Mass, units.Mass, error) {
+		return units.Kilograms(2 * x), units.Kilograms(x), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 10 {
+		t.Fatalf("points: %d", len(pts))
+	}
+	for i, p := range pts {
+		if p.X != axis.Values[i] {
+			t.Errorf("order violated at %d: %g", i, p.X)
+		}
+		if r := ratio(p.Totals[0], p.Totals[1]); math.Abs(r-2) > 1e-12 {
+			t.Errorf("ratio at %g: %g", p.X, r)
+		}
+	}
+}
+
+// TestRun1DErrors covers a one-axis FPGA/ASIC sweep's argument checks
+// and a failure on some of its points.
+func TestRun1DErrors(t *testing.T) {
+	ok := pairEval(func(x float64) (units.Mass, units.Mass, error) { return 1, 1, nil })
+	if _, err := RunN(Axis{Name: "empty"}, 2, ok); err == nil {
+		t.Error("empty axis must error")
+	}
+	if _, err := RunN(Axis{Name: "nan", Values: []float64{math.NaN()}}, 2, ok); err == nil {
+		t.Error("NaN axis must error")
+	}
+	if _, err := RunN(Axis{Name: "x", Values: []float64{1}}, 2, nil); err == nil {
+		t.Error("nil evaluator must error")
+	}
+	boom := errors.New("boom")
+	_, err := RunN(Axis{Name: "x", Values: Linspace(0, 1, 8)}, 2,
+		pairEval(func(x float64) (units.Mass, units.Mass, error) {
+			if x > 0.5 {
+				return 0, 0, boom
+			}
+			return 1, 1, nil
+		}))
+	if !errors.Is(err, boom) {
+		t.Errorf("evaluator error not propagated: %v", err)
+	}
+}
+
 func TestRun2D(t *testing.T) {
 	x := Axis{Name: "x", Values: Linspace(1, 4, 4)}
 	y := Axis{Name: "y", Values: Linspace(1, 3, 3)}
