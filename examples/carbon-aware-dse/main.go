@@ -9,26 +9,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"greenfpga"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	kernel, err := greenfpga.KernelByName("resnet50-int8")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Six generations of inference serving, each 1.5 years, each
 	// needing 1.5x the previous throughput, on 20K deployed units.
 	scenario, err := greenfpga.KernelRoadmap(kernel, 4000, 1.5, 6, greenfpga.Years(1.5), 2e4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Roadmap: %d generations of %s\n", len(scenario.Apps), kernel.Name)
+	fmt.Fprintf(w, "Roadmap: %d generations of %s\n", len(scenario.Apps), kernel.Name)
 	for _, app := range scenario.Apps {
-		fmt.Printf("  %-34s %6.1f Mgates, %g units\n", app.Name, app.SizeGates/1e6, app.Volume)
+		fmt.Fprintf(w, "  %-34s %6.1f Mgates, %g units\n", app.Name, app.SizeGates/1e6, app.Volume)
 	}
 
 	result, err := greenfpga.ExploreDesignSpace(greenfpga.DSEInputs{
@@ -36,44 +45,45 @@ func main() {
 		DutyCycle: 0.3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nExplored %d design points. Top five:\n", len(result.Candidates))
+	fmt.Fprintf(w, "\nExplored %d design points. Top five:\n", len(result.Candidates))
 	for i, c := range result.Candidates {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  %d. %-44s embodied %-12v operational %v\n",
+		fmt.Fprintf(w, "  %d. %-44s embodied %-12v operational %v\n",
 			i+1, c.String(), c.Embodied, c.Operational)
 	}
 
 	bestASIC, _ := result.BestOfKind(greenfpga.ASIC)
 	bestFPGA, _ := result.BestOfKind(greenfpga.FPGA)
-	fmt.Printf("\nBest ASIC plan: %v across %g dies (a new design every generation)\n",
+	fmt.Fprintf(w, "\nBest ASIC plan: %v across %g dies (a new design every generation)\n",
 		bestASIC.Total, bestASIC.DevicesManufactured)
-	fmt.Printf("Best FPGA plan: %v across %g devices (one fleet, reconfigured)\n",
+	fmt.Fprintf(w, "Best FPGA plan: %v across %g devices (one fleet, reconfigured)\n",
 		bestFPGA.Total, bestFPGA.DevicesManufactured)
 
 	saving := bestASIC.Total - bestFPGA.Total
 	if saving > 0 {
-		fmt.Printf("\nReconfigurability saves %v on this roadmap (%.0f%%).\n",
+		fmt.Fprintf(w, "\nReconfigurability saves %v on this roadmap (%.0f%%).\n",
 			saving, saving.Kilograms()/bestASIC.Total.Kilograms()*100)
 	} else {
-		fmt.Printf("\nDedicated silicon wins this roadmap by %v.\n", saving.Scale(-1))
+		fmt.Fprintf(w, "\nDedicated silicon wins this roadmap by %v.\n", saving.Scale(-1))
 	}
 
 	// The same roadmap at mass-market volume flips the verdict.
 	big, err := greenfpga.KernelRoadmap(kernel, 4000, 1.5, 6, greenfpga.Years(1.5), 2e6)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	massMarket, err := greenfpga.ExploreDesignSpace(greenfpga.DSEInputs{
 		Apps:      big.Apps,
 		DutyCycle: 0.3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nAt 2M units the optimum becomes: %s\n", massMarket.Best())
+	fmt.Fprintf(w, "\nAt 2M units the optimum becomes: %s\n", massMarket.Best())
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"greenfpga"
 )
@@ -21,20 +23,27 @@ const (
 )
 
 func main() {
-	spec, err := greenfpga.DeviceByName("IndustryFPGA1")
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	fmt.Printf("Fleet: %g x %s, %d application generations x %g years\n\n",
+// run writes the example's report to w.
+func run(w io.Writer) error {
+	spec, err := greenfpga.DeviceByName("IndustryFPGA1")
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "Fleet: %g x %s, %d application generations x %g years\n\n",
 		fleetSize, spec.Name, generation, appYears)
 
 	// Regional siting: the same fleet on different grids.
-	fmt.Println("Deployment region (duty 30%, PUE 1.2):")
+	fmt.Fprintln(w, "Deployment region (duty 30%, PUE 1.2):")
 	for _, region := range []string{"usa", "europe", "taiwan", "iceland", "world"} {
 		mix, err := greenfpga.GridByRegion(region)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		p := greenfpga.Platform{
 			Spec:            spec,
@@ -48,14 +57,14 @@ func main() {
 		res, err := greenfpga.Evaluate(p,
 			greenfpga.Uniform("fleet", generation, greenfpga.Years(appYears), fleetSize, 0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-8s total %-12v operation %-12v embodied %v\n",
+		fmt.Fprintf(w, "  %-8s total %-12v operation %-12v embodied %v\n",
 			region, res.Total(), res.Breakdown.Operation, res.Breakdown.Embodied())
 	}
 
 	// Facility efficiency: PUE is a straight multiplier on operation.
-	fmt.Println("\nFacility PUE (US grid):")
+	fmt.Fprintln(w, "\nFacility PUE (US grid):")
 	usa, _ := greenfpga.GridByRegion("usa")
 	for _, pue := range []float64{1.1, 1.2, 1.5, 2.0} {
 		p := greenfpga.Platform{
@@ -65,9 +74,9 @@ func main() {
 		res, err := greenfpga.Evaluate(p,
 			greenfpga.Uniform("fleet", generation, greenfpga.Years(appYears), fleetSize, 0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  PUE %.1f: total %v\n", pue, res.Total())
+		fmt.Fprintf(w, "  PUE %.1f: total %v\n", pue, res.Total())
 	}
 
 	// The cumulative timeline with a 15-year chip lifetime: one fleet
@@ -85,11 +94,12 @@ func main() {
 		Samples:     8,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nCumulative fleet CFP over the deployment:")
+	fmt.Fprintln(w, "\nCumulative fleet CFP over the deployment:")
 	for _, pt := range lc.Curve {
-		fmt.Printf("  year %5.1f: %v\n", pt.Time.Years(), pt.Cumulative)
+		fmt.Fprintf(w, "  year %5.1f: %v\n", pt.Time.Years(), pt.Cumulative)
 	}
-	fmt.Printf("\nFleet events: %d (design, hardware, per-generation reconfiguration)\n", len(lc.Events))
+	fmt.Fprintf(w, "\nFleet events: %d (design, hardware, per-generation reconfiguration)\n", len(lc.Events))
+	return nil
 }
