@@ -148,7 +148,7 @@ func (e *Evaluator) plainMember(sp PlatformSpec) (*core.Compiled, bool, error) {
 	if sp.Kind == "" || sp.hasOverrides() {
 		return nil, false, nil
 	}
-	cs, _, err := compiledDomainSet(sp.Domain)
+	cs, err := isoperf.CompiledSet(sp.Domain)
 	if err != nil {
 		return nil, true, err
 	}

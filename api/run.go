@@ -183,35 +183,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, req *EvaluateRequest) (*Evalua
 	return resp, nil
 }
 
-// domainSets memoizes compiled iso-performance platform sets by
-// canonical domain name; the calibrated domains are immutable, so the
-// cache never invalidates. Plain {domain, kind} specs resolve to these
-// members, so every endpoint — and every Evaluator — shares one
-// compilation per domain platform.
-var domainSets sync.Map
-
-// compiledDomainSet resolves and compiles a Table 2 domain's full
-// platform set (FPGA, ASIC, then the domain's GPU/CPU calibrations).
-func compiledDomainSet(name string) (core.CompiledSet, isoperf.Domain, error) {
-	d, err := isoperf.ByName(name)
-	if err != nil {
-		return nil, isoperf.Domain{}, err
-	}
-	if v, ok := domainSets.Load(d.Name); ok {
-		return v.(core.CompiledSet), d, nil
-	}
-	set, err := d.Set()
-	if err != nil {
-		return nil, isoperf.Domain{}, err
-	}
-	cs, err := set.Compile()
-	if err != nil {
-		return nil, isoperf.Domain{}, err
-	}
-	domainSets.Store(d.Name, cs)
-	return cs, d, nil
-}
-
 // setMember finds the set platform of the given kind.
 func setMember(cs core.CompiledSet, kind string) (*core.Compiled, error) {
 	kinds := make([]string, len(cs))
@@ -487,13 +458,8 @@ const MaxTimelineDeployments = 10_000
 func sequentialized(sch core.Schedule) core.Schedule {
 	deps := append([]core.Deployment(nil), sch.Deployments...)
 	sort.SliceStable(deps, func(i, j int) bool { return deps[i].Start < deps[j].Start })
-	out := core.Schedule{Name: sch.Name + "-sequential", Sizing: sch.Sizing, StrictEq2: sch.StrictEq2}
-	var at float64
-	for _, d := range deps {
-		d.Start = units.YearsOf(at)
-		at += d.App.Lifetime.Years()
-		out.Deployments = append(out.Deployments, d)
-	}
+	out := core.Schedule{Name: sch.Name + "-sequential", Deployments: deps, Sizing: sch.Sizing, StrictEq2: sch.StrictEq2}
+	out.BackToBack()
 	return out
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"greenfpga/internal/config"
+	"greenfpga/internal/isoperf"
 )
 
 // decodeNormalizedKey mirrors the server: strictly decode the body
@@ -280,7 +281,7 @@ func TestResolveSpecArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, _, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,8 +328,9 @@ const (
 // once per configuration (core.Prepare: every draw-invariant quantity
 // evaluated), with the application names; a draw validates the drawn
 // duty cycle and staffing as d.Set() would, then evaluates each member
-// through core.Prepared.EvaluateTotals at its drawn core.Knobs on a
-// scenario borrowed from a per-configuration scratch pool — the
+// through core.Prepared.EvaluateTotals at its drawn core.Knobs on the
+// scenario's Sequential schedule, borrowed from a per-configuration
+// scratch pool and re-timed for the drawn lifetime — the
 // members' totals are Evaluate's on the platforms d.Set() builds for
 // the drawn calibration, bit for bit. Every worker checks ctx before
 // its draw, so a cancelled study stops evaluating; the draws consumed
@@ -353,12 +354,19 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[i], setErr)
 		}
 	}
-	apps := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0).Apps
-	// A draw's scenario: its names are fixed per study and its lifetime
-	// is drawn. Draws run concurrently, so each borrows its own.
+	s := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0)
+	if len(s.Apps) == 0 && setErr == nil {
+		// Every draw of an empty study fails as its scenario does.
+		setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[0], s.Validate())
+	}
+	base := core.Sequential(s)
+	// A draw's schedule: its names are fixed per study, and its
+	// lifetime is drawn and its deployments re-timed back to back.
+	// Draws run concurrently, so each borrows its own.
 	scratch := sync.Pool{New: func() any {
-		s := append([]core.Application(nil), apps...)
-		return &s
+		sch := base
+		sch.Deployments = append([]core.Deployment(nil), base.Deployments...)
+		return &sch
 	}}
 	return MCConfig{
 		Samples: samples,
@@ -385,13 +393,13 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			if setErr != nil {
 				return 0, setErr
 			}
-			sc := scratch.Get().(*[]core.Application)
-			defer scratch.Put(sc)
-			s := core.Scenario{Name: "mc", Apps: *sc}
+			sch := scratch.Get().(*core.Schedule)
+			defer scratch.Put(sch)
 			life := units.YearsOf(draw[mcLifetime])
-			for i := range s.Apps {
-				s.Apps[i].Lifetime = life
+			for i := range sch.Deployments {
+				sch.Deployments[i].App.Lifetime = life
 			}
+			sch.BackToBack()
 			var totals [2]float64
 			for i, m := range members {
 				k := m.Knobs()
@@ -403,7 +411,7 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 					k.FrontEnd = units.Months(draw[mcFrontEnd])
 					k.BackEnd = units.Months(draw[mcBackEnd])
 				}
-				a, err := m.EvaluateTotals(k, s)
+				a, err := m.EvaluateTotals(k, *sch)
 				if err != nil {
 					return 0, fmt.Errorf("greenfpga: %s side: %w", kinds[i], err)
 				}

@@ -66,107 +66,15 @@ func (c *Compiled) AnnualOperationCarbon() units.Mass { return c.opAnnual }
 // Evaluate computes the total CFP of running the scenario on the
 // compiled platform, selecting Eq. 1 or Eq. 2 by the device kind's
 // reuse policy (Eq. 1 for per-application embodied carbon, Eq. 2 for
-// reusable fleets). Results are identical to Evaluate on the
-// uncompiled platform.
+// reusable fleets). A scenario is its Sequential schedule: Evaluate
+// validates s and runs EvaluateSchedule's loop on Sequential(s).
+// Results are identical to Evaluate on the uncompiled platform.
 func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
-	return c.prep.evaluate(s, &c.terms, true)
-}
-
-// evaluate is the one Eq. 1/Eq. 2 loop behind Compiled.Evaluate and
-// Prepared.EvaluateTotals: it evaluates the scenario on the prepared
-// platform with the scalar terms t, and perApp selects whether it
-// records the per-application contributions. Nothing else depends on
-// it.
-func (pp *Prepared) evaluate(s Scenario, t *terms, perApp bool) (Assessment, error) {
 	if err := s.Validate(); err != nil {
 		return Assessment{}, err
 	}
-
-	p := &pp.platform
-	out := Assessment{
-		Platform:            p.Spec.Name,
-		Kind:                p.Spec.Kind,
-		HardwareGenerations: 1,
-	}
-	if perApp {
-		out.PerApp = make([]AppAssessment, 0, len(s.Apps))
-	}
-
-	// Applications run back to back from t=0 (the Sequential timeline);
-	// at accumulates the arrival offsets exactly like Sequential does,
-	// so Evaluate and EvaluateSchedule(Sequential(s)) agree bit for bit
-	// on traced platforms too. Scalar platforms ignore the offset.
-	var at float64
-
-	if !p.Spec.Kind.Policy().Reusable {
-		// Eq. 1: every application pays design + hardware + deployment.
-		for i := range s.Apps {
-			app := &s.Apps[i]
-			n, err := p.Spec.Required(app.SizeGates)
-			if err != nil {
-				return Assessment{}, err
-			}
-			devices := app.Volume * float64(n)
-			gens := 1
-			if p.ChipLifetime > 0 && app.Lifetime > p.ChipLifetime {
-				gens = int(math.Ceil(app.Lifetime.Years() / p.ChipLifetime.Years()))
-			}
-			b := t.appBreakdown(app, devices, s.StrictEq2, at)
-			at += app.Lifetime.Years()
-			b.Design = t.design
-			t.addHardware(&b, devices*float64(gens))
-			if perApp {
-				out.PerApp = append(out.PerApp, AppAssessment{
-					Name: app.Name, DevicesPerUnit: n, Breakdown: b,
-				})
-			}
-			out.Breakdown = out.Breakdown.Add(b)
-			out.DevicesManufactured += devices * float64(gens)
-			out.FleetSize = math.Max(out.FleetSize, devices)
-		}
-		return out, nil
-	}
-
-	// Eq. 2: a reusable fleet (FPGA, GPU, CPU) is built once (per
-	// hardware generation) and reconfigured or reprogrammed across
-	// applications. The fleet-sizing pass surfaces every Required
-	// error, so the per-application pass below re-derives the same
-	// device counts without one.
-	var fleet float64
-	for _, app := range s.Apps {
-		n, err := p.Spec.Required(app.SizeGates)
-		if err != nil {
-			return Assessment{}, err
-		}
-		fleet = math.Max(fleet, app.Volume*float64(n))
-	}
-	gens := 1
-	if p.ChipLifetime > 0 {
-		total := s.TotalYears().Years()
-		if total > p.ChipLifetime.Years() {
-			gens = int(math.Ceil(total / p.ChipLifetime.Years()))
-		}
-	}
-	out.FleetSize = fleet
-	out.HardwareGenerations = gens
-	out.DevicesManufactured = fleet * float64(gens)
-	out.Breakdown.Design = t.design
-	t.addHardware(&out.Breakdown, fleet*float64(gens))
-
-	for i := range s.Apps {
-		app := &s.Apps[i]
-		n, _ := p.Spec.Required(app.SizeGates) // the sizing pass returned any error
-		devices := app.Volume * float64(n)
-		b := t.appBreakdown(app, devices, s.StrictEq2, at)
-		at += app.Lifetime.Years()
-		if perApp {
-			out.PerApp = append(out.PerApp, AppAssessment{
-				Name: app.Name, DevicesPerUnit: n, Breakdown: b,
-			})
-		}
-		out.Breakdown = out.Breakdown.Add(b)
-	}
-	return out, nil
+	sch := Sequential(s)
+	return c.prep.evaluate(&sch, &c.terms, true, 0)
 }
 
 // EvaluateUniform computes the assessment of a uniform scenario — n
@@ -224,12 +132,12 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 
 	gens := 1
 	if p.ChipLifetime > 0 {
-		// Sum the lifetime n times exactly as Scenario.TotalYears
-		// does: multiplication rounds differently at generation
-		// boundaries (0.7*10 is exactly 7, ten summed 0.7s exceed
-		// it), and a flip here is a whole hardware generation, not an
-		// ulp. Capped platforms pay this O(n) scalar loop; the common
-		// uncapped case stays O(1).
+		// Sum the lifetime n times exactly as Sequential places the
+		// last retirement: multiplication rounds differently at
+		// generation boundaries (0.7*10 is exactly 7, ten summed 0.7s
+		// exceed it), and a flip here is a whole hardware generation,
+		// not an ulp. Capped platforms pay this O(n) scalar loop; the
+		// common uncapped case stays O(1).
 		var total float64
 		for i := 0; i < n; i++ {
 			total += lifetime.Years()
@@ -252,7 +160,7 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 
 // uniformOperation sums the traced operational carbon of n identical
 // back-to-back residency windows, accumulating arrival offsets exactly
-// like Evaluate's loop so the O(1)-shaped uniform path and the
+// like Sequential so the O(1)-shaped uniform path and the
 // per-application loop agree on traced platforms. scale carries
 // devices x utilization. Only traced platforms pay this O(n) loop —
 // on the scalar path the n windows are identical and EvaluateUniform

@@ -243,7 +243,7 @@ func checkTotalsMatch(t *testing.T, pp *Prepared, k Knobs, s Scenario, want Asse
 		t.Fatalf("Evaluate listed %d of %d applications", len(want.PerApp), len(s.Apps))
 	}
 	want.PerApp = nil
-	got, err := pp.EvaluateTotals(k, s)
+	got, err := pp.EvaluateTotals(k, Sequential(s))
 	if err != nil {
 		t.Fatalf("Prepared.EvaluateTotals: %v", err)
 	}
@@ -308,7 +308,7 @@ func checkKnobErrors(t *testing.T, pp *Prepared, p Platform, s Scenario) {
 	} {
 		k := pp.Knobs()
 		c.set(&k)
-		got, err := pp.EvaluateTotals(k, s)
+		got, err := pp.EvaluateTotals(k, Sequential(s))
 		if err == nil {
 			t.Fatalf("%s: prepared draw returned %v, want an error", c.name, got.Total())
 		}
@@ -433,7 +433,7 @@ func FuzzPreparedDraw(f *testing.F) {
 			t.Fatalf("Prepare: %v", err)
 		}
 		want, wantErr := Evaluate(withKnobs(p, k), s)
-		got, err := pp.EvaluateTotals(k, s)
+		got, err := pp.EvaluateTotals(k, Sequential(s))
 		switch {
 		case wantErr != nil || err != nil:
 			if wantErr == nil || err == nil || wantErr.Error() != err.Error() {

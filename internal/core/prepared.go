@@ -125,18 +125,29 @@ func (pp *Prepared) Knobs() Knobs {
 	}
 }
 
-// EvaluateTotals evaluates the scenario on the prepared platform with
-// knobs k in place of its own. The result is Evaluate's on the
-// platform with k applied, bit for bit, except that PerApp is nil; an
-// out-of-range knob fails with the error Evaluate would report. It
-// derives only the terms the knobs move and runs them through
-// Compiled.Evaluate's Eq. 1/Eq. 2 loop, allocating nothing.
-func (pp *Prepared) EvaluateTotals(k Knobs, s Scenario) (Assessment, error) {
+// EvaluateTotals evaluates the schedule on the prepared platform with
+// knobs k in place of its own. The result is EvaluateSchedule's
+// Assessment on the platform with k applied, bit for bit, except that
+// PerApp is nil; an out-of-range knob fails with the error Evaluate
+// would report. It derives only the terms the knobs move and runs them
+// through the one Eq. 1/Eq. 2 loop, allocating nothing unless the
+// schedule is SizeDedicated.
+func (pp *Prepared) EvaluateTotals(k Knobs, sch Schedule) (Assessment, error) {
 	var t terms
 	if _, err := pp.derive(k, &t); err != nil {
 		return Assessment{}, err
 	}
-	return pp.evaluate(s, &t, false)
+	if err := sch.Validate(); err != nil {
+		return Assessment{}, err
+	}
+	var peakDemand float64
+	if sch.Sizing == SizeDedicated {
+		var err error
+		if _, peakDemand, err = pp.peaks(&sch); err != nil {
+			return Assessment{}, err
+		}
+	}
+	return pp.evaluate(&sch, &t, false, peakDemand)
 }
 
 // derive is the knob stage: it validates k and fills t with the

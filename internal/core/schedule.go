@@ -41,9 +41,8 @@ const (
 	// SizeShared (the default) sizes the fleet to the largest resident
 	// deployment: overlapping applications time-share reconfigured
 	// devices, the reading behind the paper's Eq. 2 fleet (N_vol
-	// devices serve every application of the scenario). Under this
-	// sizing a degenerate schedule reduces exactly to the legacy
-	// Scenario path.
+	// devices serve every application of the scenario). Evaluate runs
+	// a Scenario's Sequential schedule under this sizing.
 	SizeShared FleetSizing = "shared"
 	// SizeDedicated sizes the fleet to the peak aggregate device
 	// demand: every resident holds its own devices for its whole
@@ -65,7 +64,7 @@ func (fs FleetSizing) Validate() error {
 // generalization of Scenario, whose applications run strictly back to
 // back from t=0. Hardware refresh follows the platform's ChipLifetime
 // against the schedule's wall-clock span (a fleet generation ages by
-// calendar time), where the legacy path ages the fleet by the sum of
+// calendar time); a back-to-back schedule spans the sum of its
 // application lifetimes.
 type Schedule struct {
 	// Name labels the schedule in reports.
@@ -166,27 +165,34 @@ func (sch Schedule) peaks(demand []float64) (int, float64) {
 	return peak, peakD
 }
 
-// Sequential serializes a legacy Scenario onto the timeline: each
-// application starts the instant the previous one retires, exactly the
-// back-to-back semantics the Scenario engine assumes. Evaluating the
-// result reproduces Evaluate(p, s) bit for bit (the equivalence
-// property test in schedule_test.go pins this against the frozen
-// reference).
+// Sequential serializes a Scenario onto the timeline back to back
+// (see BackToBack), the semantics of the paper's Eqs. 1-2. Evaluate
+// is EvaluateSchedule's loop on this schedule.
 func Sequential(s Scenario) Schedule {
-	sch := Schedule{Name: s.Name, StrictEq2: s.StrictEq2}
-	var at float64
-	for _, app := range s.Apps {
-		sch.Deployments = append(sch.Deployments, Deployment{App: app, Start: units.YearsOf(at)})
-		at += app.Lifetime.Years()
+	sch := Schedule{Name: s.Name, Deployments: make([]Deployment, len(s.Apps)), StrictEq2: s.StrictEq2}
+	for i, app := range s.Apps {
+		sch.Deployments[i].App = app
 	}
+	sch.BackToBack()
 	return sch
+}
+
+// BackToBack re-times the deployments in place to run back to back in
+// slice order from t=0: each starts the instant the previous one
+// retires.
+func (sch Schedule) BackToBack() {
+	var at float64
+	for i := range sch.Deployments {
+		sch.Deployments[i].Start = units.YearsOf(at)
+		at += sch.Deployments[i].App.Lifetime.Years()
+	}
 }
 
 // Staggered builds a schedule of n identical applications arriving
 // every interval years (interval 0 means all arrive at t=0), the
 // timeline generalization of Uniform. Applications are named like
-// Uniform's so degenerate schedules compare bit-for-bit against the
-// legacy path.
+// Uniform's so degenerate schedules compare bit-for-bit against
+// Evaluate on Uniform.
 func Staggered(name string, n int, interval, lifetime units.Years, volume, sizeGates float64) Schedule {
 	if n < 0 {
 		n = 0
@@ -207,7 +213,7 @@ func Staggered(name string, n int, interval, lifetime units.Years, volume, sizeG
 }
 
 // ScheduleAssessment is an Assessment plus the timeline quantities
-// that have no legacy counterpart.
+// that a Scenario's Assessment does not report.
 type ScheduleAssessment struct {
 	Assessment
 	// Span is the schedule's wall-clock extent (first arrival to last
@@ -228,99 +234,118 @@ type ScheduleAssessment struct {
 //
 // Non-reusable kinds (Eq. 1) pay design, hardware and deployment per
 // deployment; arrival times do not change their totals (each
-// deployment's hardware lives and dies with it), so any schedule of
-// the same deployments matches the legacy per-application accounting
-// bit for bit.
+// deployment's hardware lives and dies with it).
 //
 // Reusable kinds (Eq. 2) build one fleet serving every resident
 // deployment — sized by the schedule's FleetSizing — and refresh it
-// every ChipLifetime years of wall-clock span. A schedule whose
-// deployments run back to back from t=0 (see Sequential) reduces bit
-// for bit to Evaluate; overlapping deployments compress the span
-// (fewer refreshes), and gaps or late arrivals stretch it.
+// every ChipLifetime years of wall-clock span. Evaluate is this
+// evaluation of the Sequential schedule; overlapping deployments
+// compress the span (fewer refreshes), and gaps or late arrivals
+// stretch it.
 func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 	if err := sch.Validate(); err != nil {
 		return ScheduleAssessment{}, err
 	}
-
-	p := &c.prep.platform
-	out := ScheduleAssessment{
-		Assessment: Assessment{
-			Platform:            p.Spec.Name,
-			Kind:                p.Spec.Kind,
-			HardwareGenerations: 1,
-		},
-		Span: sch.Span(),
+	out := ScheduleAssessment{Span: sch.Span()}
+	var err error
+	if out.PeakConcurrent, out.PeakDemand, err = c.prep.peaks(&sch); err != nil {
+		return ScheduleAssessment{}, err
 	}
+	if out.Assessment, err = c.prep.evaluate(&sch, &c.terms, true, out.PeakDemand); err != nil {
+		return ScheduleAssessment{}, err
+	}
+	return out, nil
+}
 
-	// Device demand per deployment, computed once for both the sizing
-	// sweep and the per-deployment pass.
-	counts := make([]int, len(sch.Deployments))
+// peaks is Schedule.peaks over the platform's device demand: each
+// deployment needs Volume x Required(SizeGates) devices.
+func (pp *Prepared) peaks(sch *Schedule) (int, float64, error) {
 	demand := make([]float64, len(sch.Deployments))
 	for i, dep := range sch.Deployments {
-		n, err := p.Spec.Required(dep.App.SizeGates)
+		n, err := pp.platform.Spec.Required(dep.App.SizeGates)
 		if err != nil {
-			return ScheduleAssessment{}, err
+			return 0, 0, err
 		}
-		counts[i] = n
 		demand[i] = dep.App.Volume * float64(n)
 	}
-	out.PeakConcurrent, out.PeakDemand = sch.peaks(demand)
+	peak, peakDemand := sch.peaks(demand)
+	return peak, peakDemand, nil
+}
 
-	if !p.Spec.Kind.Policy().Reusable {
-		// Eq. 1: every deployment pays design + hardware + deployment;
-		// its hardware generation count follows its own lifetime, as in
-		// the legacy per-application loop.
-		for i, dep := range sch.Deployments {
-			app := dep.App
-			devices := demand[i]
-			gens := 1
-			if p.ChipLifetime > 0 && app.Lifetime > p.ChipLifetime {
-				gens = int(math.Ceil(app.Lifetime.Years() / p.ChipLifetime.Years()))
+// evaluate is the one Eq. 1/Eq. 2 loop, behind Compiled.Evaluate,
+// Compiled.EvaluateSchedule and Prepared.EvaluateTotals: it evaluates
+// the valid schedule on the prepared platform with the scalar terms t.
+// perApp selects whether it records the per-deployment contributions,
+// and peakDemand, the schedule's peak aggregate device demand, is the
+// fleet of a SizeDedicated schedule (nothing else reads it).
+func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, peakDemand float64) (Assessment, error) {
+	p := &pp.platform
+	out := Assessment{
+		Platform:            p.Spec.Name,
+		Kind:                p.Spec.Kind,
+		HardwareGenerations: 1,
+	}
+	if perApp {
+		out.PerApp = make([]AppAssessment, 0, len(sch.Deployments))
+	}
+
+	reusable := p.Spec.Kind.Policy().Reusable
+	if reusable {
+		// Eq. 2: a reusable fleet (FPGA, GPU, CPU) is built once per
+		// hardware generation and reconfigured or reprogrammed across
+		// deployments. A shared fleet covers the largest single
+		// deployment (the paper's Eq. 2 fleet), folded in deployment
+		// order; a dedicated one covers the peak aggregate demand.
+		fleet := peakDemand
+		if sch.Sizing != SizeDedicated {
+			fleet = 0
+			for i := range sch.Deployments {
+				app := &sch.Deployments[i].App
+				n, err := p.Spec.Required(app.SizeGates)
+				if err != nil {
+					return Assessment{}, err
+				}
+				fleet = math.Max(fleet, app.Volume*float64(n))
 			}
-			b := c.appBreakdown(&app, devices, sch.StrictEq2, dep.Start.Years())
-			b.Design = c.design
-			c.addHardware(&b, devices*float64(gens))
-			out.PerApp = append(out.PerApp, AppAssessment{
-				Name: app.Name, DevicesPerUnit: counts[i], Breakdown: b,
-			})
-			out.Breakdown = out.Breakdown.Add(b)
+		}
+		gens := 1
+		if p.ChipLifetime > 0 {
+			if span := sch.Span().Years(); span > p.ChipLifetime.Years() {
+				gens = int(math.Ceil(span / p.ChipLifetime.Years()))
+			}
+		}
+		out.FleetSize = fleet
+		out.HardwareGenerations = gens
+		out.DevicesManufactured = fleet * float64(gens)
+		out.Breakdown.Design = t.design
+		t.addHardware(&out.Breakdown, fleet*float64(gens))
+	}
+
+	for i := range sch.Deployments {
+		dep := &sch.Deployments[i]
+		n, err := p.Spec.Required(dep.App.SizeGates)
+		if err != nil {
+			return Assessment{}, err
+		}
+		devices := dep.App.Volume * float64(n)
+		b := t.appBreakdown(&dep.App, devices, sch.StrictEq2, dep.Start.Years())
+		if !reusable {
+			// Eq. 1: every deployment pays design + hardware, its
+			// hardware generation count following its own lifetime.
+			gens := 1
+			if p.ChipLifetime > 0 && dep.App.Lifetime > p.ChipLifetime {
+				gens = int(math.Ceil(dep.App.Lifetime.Years() / p.ChipLifetime.Years()))
+			}
+			b.Design = t.design
+			t.addHardware(&b, devices*float64(gens))
 			out.DevicesManufactured += devices * float64(gens)
 			out.FleetSize = math.Max(out.FleetSize, devices)
 		}
-		return out, nil
-	}
-
-	// Eq. 2: one reusable fleet serves every resident deployment.
-	var fleet float64
-	if sch.Sizing == SizeDedicated {
-		fleet = out.PeakDemand
-	} else {
-		// Shared: residents time-share reconfigured devices, so the
-		// fleet covers the largest single deployment (the paper's
-		// Eq. 2 fleet), folded in deployment order like the legacy
-		// path.
-		for _, d := range demand {
-			fleet = math.Max(fleet, d)
+		if perApp {
+			out.PerApp = append(out.PerApp, AppAssessment{
+				Name: dep.App.Name, DevicesPerUnit: n, Breakdown: b,
+			})
 		}
-	}
-	gens := 1
-	if p.ChipLifetime > 0 {
-		if span := out.Span.Years(); span > p.ChipLifetime.Years() {
-			gens = int(math.Ceil(span / p.ChipLifetime.Years()))
-		}
-	}
-	out.FleetSize = fleet
-	out.HardwareGenerations = gens
-	out.DevicesManufactured = fleet * float64(gens)
-	out.Breakdown.Design = c.design
-	c.addHardware(&out.Breakdown, fleet*float64(gens))
-
-	for i, dep := range sch.Deployments {
-		b := c.appBreakdown(&dep.App, demand[i], sch.StrictEq2, dep.Start.Years())
-		out.PerApp = append(out.PerApp, AppAssessment{
-			Name: dep.App.Name, DevicesPerUnit: counts[i], Breakdown: b,
-		})
 		out.Breakdown = out.Breakdown.Add(b)
 	}
 	return out, nil
@@ -349,22 +374,16 @@ func (sc ScheduleComparison) WinnerAssessment() ScheduleAssessment {
 
 // CompareSchedule evaluates every platform of the set on the schedule.
 func (cs CompiledSet) CompareSchedule(sch Schedule) (ScheduleComparison, error) {
-	if len(cs) == 0 {
-		return ScheduleComparison{}, fmt.Errorf("core: empty compiled set")
-	}
 	out := ScheduleComparison{Assessments: make([]ScheduleAssessment, len(cs))}
-	plain := make([]Assessment, len(cs))
-	for i, c := range cs {
+	sc, err := cs.compare(func(i int, c *Compiled) (Assessment, error) {
 		a, err := c.EvaluateSchedule(sch)
-		if err != nil {
-			return ScheduleComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
-		}
 		out.Assessments[i] = a
-		plain[i] = a.Assessment
+		return a.Assessment, err
+	})
+	if err != nil {
+		return ScheduleComparison{}, err
 	}
-	sc := newSetComparison(plain)
-	out.Ratios = sc.Ratios
-	out.Winner = sc.Winner
+	out.Ratios, out.Winner = sc.Ratios, sc.Winner
 	out.Span = out.Assessments[0].Span
 	out.PeakConcurrent = out.Assessments[0].PeakConcurrent
 	return out, nil

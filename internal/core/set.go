@@ -122,14 +122,16 @@ func newSetComparison(as []Assessment) SetComparison {
 	return sc
 }
 
-// Compare evaluates every platform of the set on the scenario.
-func (cs CompiledSet) Compare(s Scenario) (SetComparison, error) {
+// compare evaluates every platform of the set in set order with eval,
+// wrapping a failure with the platform's name, and derives the ratios
+// and the winner.
+func (cs CompiledSet) compare(eval func(i int, c *Compiled) (Assessment, error)) (SetComparison, error) {
 	if len(cs) == 0 {
 		return SetComparison{}, fmt.Errorf("core: empty compiled set")
 	}
 	as := make([]Assessment, len(cs))
 	for i, c := range cs {
-		a, err := c.Evaluate(s)
+		a, err := eval(i, c)
 		if err != nil {
 			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
 		}
@@ -138,21 +140,17 @@ func (cs CompiledSet) Compare(s Scenario) (SetComparison, error) {
 	return newSetComparison(as), nil
 }
 
+// Compare evaluates every platform of the set on the scenario.
+func (cs CompiledSet) Compare(s Scenario) (SetComparison, error) {
+	return cs.compare(func(_ int, c *Compiled) (Assessment, error) { return c.Evaluate(s) })
+}
+
 // CompareUniform evaluates every platform of the set on a uniform
 // scenario through the O(1) path.
 func (cs CompiledSet) CompareUniform(n int, lifetime units.Years, volume, sizeGates float64) (SetComparison, error) {
-	if len(cs) == 0 {
-		return SetComparison{}, fmt.Errorf("core: empty compiled set")
-	}
-	as := make([]Assessment, len(cs))
-	for i, c := range cs {
-		a, err := c.EvaluateUniform(n, lifetime, volume, sizeGates)
-		if err != nil {
-			return SetComparison{}, fmt.Errorf("core: platform %s: %w", c.prep.platform.Spec.Name, err)
-		}
-		as[i] = a
-	}
-	return newSetComparison(as), nil
+	return cs.compare(func(_ int, c *Compiled) (Assessment, error) {
+		return c.EvaluateUniform(n, lifetime, volume, sizeGates)
+	})
 }
 
 // DiffUniformBetween is the signed a-minus-b uniform-scenario total in

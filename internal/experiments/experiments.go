@@ -11,7 +11,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"greenfpga/internal/core"
 	"greenfpga/internal/isoperf"
@@ -181,36 +180,6 @@ func domainSet(name string) (core.Set, error) {
 		return nil, err
 	}
 	return d.Set()
-}
-
-// compiledSets memoizes compiled domain platform sets across
-// artifacts, so every sweep cell of every figure runs against cached
-// platform constants instead of re-deriving them. The two-platform
-// figures use members 0 and 1 (FPGA, ASIC), so each domain platform is
-// compiled once per process however it is used.
-var compiledSets sync.Map // domain name -> core.CompiledSet
-
-// compiledDomainSet resolves and compiles a domain's full platform set
-// (FPGA, ASIC, GPU, CPU) by name, memoized for the life of the
-// process (the calibrated domains are immutable).
-func compiledDomainSet(name string) (core.CompiledSet, error) {
-	if cached, ok := compiledSets.Load(name); ok {
-		return cached.(core.CompiledSet), nil
-	}
-	d, err := isoperf.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	set, err := d.Set()
-	if err != nil {
-		return nil, err
-	}
-	cs, err := set.Compile()
-	if err != nil {
-		return nil, err
-	}
-	compiledSets.Store(name, cs)
-	return cs, nil
 }
 
 // uniformEval builds a sweep evaluator over n/lifetime/volume with two

@@ -32,7 +32,7 @@ func init() {
 // GPU is the first-class catalog spec of the DNN domain set, and
 // every probe runs through the compiled O(1) uniform path.
 func gpuExtension() (*Output, error) {
-	cs, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		return nil, err
 	}

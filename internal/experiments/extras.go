@@ -31,7 +31,7 @@ func eq2Sensitivity() (*Output, error) {
 		"Domain", "FPGA one-time [kt]", "FPGA strict [kt]", "Delta", "Ratio shift")
 	var maxShift float64
 	for _, d := range isoperf.Domains() {
-		cs, err := compiledDomainSet(d.Name)
+		cs, err := isoperf.CompiledSet(d.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func scenarios() (*Output, error) {
 	var notes []string
 	for _, d := range isoperf.Domains() {
 		// One compile serves all three solvers.
-		cs, err := compiledDomainSet(d.Name)
+		cs, err := isoperf.CompiledSet(d.Name)
 		if err != nil {
 			return nil, err
 		}

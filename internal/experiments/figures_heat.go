@@ -17,7 +17,7 @@ func init() {
 // fig8 reproduces Fig. 8: pairwise heatmaps of the FPGA:ASIC CFP ratio
 // for the DNN domain, with the crossover contour marked.
 func fig8() (*Output, error) {
-	cs, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		return nil, err
 	}

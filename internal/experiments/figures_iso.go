@@ -22,7 +22,7 @@ func init() {
 // fig2 reproduces Fig. 2: ASIC vs FPGA total CFP for a single DNN
 // application and for ten applications.
 func fig2() (*Output, error) {
-	cs, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func domainSweep1D(axisName string, axis sweep.Axis, n int, tYears, volume float
 	map[string][]sweep.PointN, error) {
 	out := make(map[string][]sweep.PointN, 3)
 	for _, d := range isoperf.Domains() {
-		cs, err := compiledDomainSet(d.Name)
+		cs, err := isoperf.CompiledSet(d.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func fig6() (*Output, error) {
 // fig7 reproduces Fig. 7: the embodied/operational breakdown for the
 // DNN domain across the three sweeps.
 func fig7() (*Output, error) {
-	cs, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func frontierRow(t *report.Table, label string, sc core.SetComparison) {
 // lifetime and the deployment volume vary. Every cell evaluates the
 // DNN domain's full compiled set through the O(1) uniform path.
 func platformFrontier() (*Output, error) {
-	cs, err := compiledDomainSet("DNN")
+	cs, err := isoperf.CompiledSet("DNN")
 	if err != nil {
 		return nil, err
 	}

@@ -225,6 +225,34 @@ func (d Domain) Set() (core.Set, error) {
 	return append(core.Set(nil), set...), nil
 }
 
+// compiledSets memoizes CompiledSet by canonical domain name; the
+// calibrated domains are immutable, so it never invalidates.
+var compiledSets sync.Map // domain name -> core.CompiledSet
+
+// CompiledSet resolves a calibrated domain by name and compiles its
+// full Set (FPGA, ASIC, then GPU and CPU), once per process: every
+// experiment, endpoint and sweep cell that names the domain shares one
+// compilation per platform. Callers must not modify the result.
+func CompiledSet(name string) (core.CompiledSet, error) {
+	d, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := compiledSets.Load(d.Name); ok {
+		return v.(core.CompiledSet), nil
+	}
+	set, err := d.Set()
+	if err != nil {
+		return nil, err
+	}
+	cs, err := set.Compile()
+	if err != nil {
+		return nil, err
+	}
+	compiledSets.Store(d.Name, cs)
+	return cs, nil
+}
+
 // buildSet constructs the platform set without consulting the cache.
 func (d Domain) buildSet() (core.Set, error) {
 	if err := d.Validate(); err != nil {
