@@ -2,8 +2,8 @@
 // GreenFPGA paper's evaluation (§4), plus the ablations DESIGN.md calls
 // out. Each experiment is a named Runner producing tables, rendered
 // ASCII charts, and observations (crossover points, dominance notes)
-// that can be compared against the paper; EXPERIMENTS.md records the
-// comparison.
+// that can be compared against the paper; DESIGN.md's "Experiment
+// index" maps each artifact to the paper.
 package experiments
 
 import (

@@ -112,7 +112,7 @@ func scenarios() (*Output, error) {
 			notes = append(notes,
 				fmt.Sprintf("DNN: FPGAs win below %.2f-year application lifetimes (paper: 1.6)", tstar.Years()),
 				fmt.Sprintf("DNN: FPGAs win beyond %d applications (paper: >5)", n-1),
-				fmt.Sprintf("DNN: FPGAs win below %.0fK units (paper extrapolates 2M; see EXPERIMENTS.md)", vstar/1e3))
+				fmt.Sprintf("DNN: FPGAs win below %.0fK units (paper extrapolates 2M)", vstar/1e3))
 		}
 	}
 	return &Output{
