@@ -381,7 +381,9 @@ func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
 // FuzzPreparedDraw checks the prepared-member path against Evaluate
 // over random platforms and knob vectors, in range or not: the totals
 // must agree bit for bit, and an out-of-range knob must fail both
-// paths with the same error.
+// paths with the same error. Both paths run the one Eq. 1/Eq. 2 loop,
+// so on untraced platforms the totals must also match the frozen
+// reference, the independent implementation of the paper's equations.
 func FuzzPreparedDraw(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(5), false, 0.5, 300.0, 0.3, 0.25, 2.0, 1.0)
 	f.Add(int64(2), uint8(1), uint8(1), uint8(17), true, 0.9, 0.0, 1.0, 0.0, 1.5, 0.5)
@@ -392,6 +394,8 @@ func FuzzPreparedDraw(f *testing.F) {
 	f.Add(int64(7), uint8(1), uint8(3), uint8(5), true, 0.5, 300.0, 0.3, 1.5, 2.0, 1.0)
 	f.Add(int64(8), uint8(1), uint8(1), uint8(5), false, 0.5, 300.0, 0.3, 0.25, -2.0, 1.0)
 	f.Add(int64(9), uint8(2), uint8(0), uint8(5), false, 0.5, -3.0, 0.3, 0.25, 2.0, 1.0)
+	f.Add(int64(10), uint8(1), uint8(3), uint8(12), false, 0.5, 300.0, 0.3, 0.25, 2.0, 1.0)
+	f.Add(int64(11), uint8(0), uint8(3), uint8(12), true, 0.3, 200.0, 0.6, 0.5, 1.0, 0.5)
 	f.Fuzz(func(t *testing.T, seed int64, kind, variant, napps uint8, strict bool,
 		duty, staff, rho, delta, feMonths, beMonths float64) {
 		for _, x := range []float64{duty, staff, rho, delta, feMonths, beMonths} {
@@ -402,15 +406,7 @@ func FuzzPreparedDraw(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		kinds := device.Kinds()
 		p := randomPlatform(t, r, kinds[int(kind)%len(kinds)])
-		switch variant % 4 {
-		case 1:
-			p.UseTrace = diurnalTrace(24 * 28)
-		case 2:
-			p.UseTrace = diurnalTrace(24 * 28)
-			p.UseShift = carbon.ShiftDaily
-		case 3:
-			p.ChipLifetime = units.YearsOf(0.5 + r.Float64()*5)
-		}
+		applyVariant(r, &p, int(variant))
 		s := Scenario{Name: "fuzz", StrictEq2: strict}
 		for i := 0; i < 1+int(napps)%100; i++ {
 			s.Apps = append(s.Apps, Application{
@@ -443,6 +439,17 @@ func FuzzPreparedDraw(f *testing.F) {
 			want.PerApp = nil
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("prepared draw diverges from Evaluate at %+v:\ngot  %+v\nwant %+v", k, got, want)
+			}
+			if len(p.UseTrace) > 0 {
+				return // the frozen reference predates traced operation
+			}
+			ref, err := evaluateReference(withKnobs(p, k), s)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			ref.PerApp = nil
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("prepared draw diverges from the frozen reference at %+v:\ngot  %+v\nwant %+v", k, got, ref)
 			}
 		}
 	})

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"greenfpga/internal/carbon"
 	"greenfpga/internal/device"
 	"greenfpga/internal/units"
 )
@@ -315,4 +318,170 @@ func TestScheduleValidation(t *testing.T) {
 	if sch := Staggered("n", -3, 0, units.YearsOf(1), 1, 0); len(sch.Deployments) != 0 || sch.Validate() == nil {
 		t.Error("negative n must yield an empty (invalid) schedule")
 	}
+}
+
+// applyVariant sets the operation and refresh model the schedule and
+// prepared-draw checks run on: 0 scalar, 1 traced, 2 traced with daily
+// clean-hours shifting, 3 capped at a random chip lifetime.
+func applyVariant(r *rand.Rand, p *Platform, variant int) {
+	switch variant % 4 {
+	case 1:
+		p.UseTrace = diurnalTrace(24 * 28)
+	case 2:
+		p.UseTrace = diurnalTrace(24 * 28)
+		p.UseShift = carbon.ShiftDaily
+	case 3:
+		p.ChipLifetime = units.YearsOf(0.5 + r.Float64()*5)
+	}
+}
+
+// randomSchedule draws n deployments laid out back to back (layout 0),
+// with gaps before each arrival (1), or at random arrivals that
+// generally overlap (2).
+func randomSchedule(r *rand.Rand, layout, n int) Schedule {
+	sch := Schedule{Name: "rand", StrictEq2: r.Intn(4) == 0}
+	var at float64
+	for i := 0; i < n; i++ {
+		app := Application{
+			Name:     fmt.Sprintf("app%d", i+1),
+			Lifetime: units.YearsOf(0.2 + r.Float64()*5),
+			Volume:   1 + r.Float64()*1e6,
+		}
+		if r.Intn(2) == 0 {
+			app.SizeGates = r.Float64() * 2e8
+		}
+		if r.Intn(3) == 0 {
+			app.UtilizationScale = 0.1 + r.Float64()*0.9
+		}
+		switch layout % 3 {
+		case 1:
+			at += r.Float64() * 3
+		case 2:
+			at = r.Float64() * 6
+		}
+		sch.Deployments = append(sch.Deployments, Deployment{App: app, Start: units.YearsOf(at)})
+		if layout%3 != 2 {
+			at += app.Lifetime.Years()
+		}
+	}
+	return sch
+}
+
+// overlapping reports whether any two deployments of the schedule are
+// resident at once, residencies being half-open [Start, End).
+func overlapping(sch Schedule) bool {
+	for i, a := range sch.Deployments {
+		for _, b := range sch.Deployments[i+1:] {
+			if a.Start < b.End() && b.Start < a.End() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkScheduleInvariants evaluates sch on p under both fleet sizings
+// and checks that every total is finite, that the prepared-draw path at
+// p's own knobs is EvaluateSchedule with PerApp cleared, and that a
+// dedicated fleet costs at least as much as a shared one — exactly as
+// much when no deployments overlap. It returns both totals.
+func checkScheduleInvariants(t *testing.T, p Platform, sch Schedule) (shared, dedicated units.Mass) {
+	t.Helper()
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	pp, err := Prepare(p)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	var totals [2]units.Mass
+	for i, sizing := range []FleetSizing{SizeShared, SizeDedicated} {
+		sch.Sizing = sizing
+		got, err := c.EvaluateSchedule(sch)
+		if err != nil {
+			t.Fatalf("%s: EvaluateSchedule: %v", sizing, err)
+		}
+		b := got.Breakdown
+		for _, x := range []float64{float64(got.Total()), float64(b.Design), float64(b.Manufacturing),
+			float64(b.Packaging), float64(b.EOL), float64(b.Operation), float64(b.AppDevelopment),
+			float64(b.Configuration), got.FleetSize, got.DevicesManufactured, got.PeakDemand} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s: non-finite assessment %+v", sizing, got)
+			}
+		}
+		want := got.Assessment
+		want.PerApp = nil
+		totalsOnly, err := pp.EvaluateTotals(pp.Knobs(), sch)
+		if err != nil {
+			t.Fatalf("%s: EvaluateTotals: %v", sizing, err)
+		}
+		if !reflect.DeepEqual(totalsOnly, want) {
+			t.Fatalf("%s: prepared draw diverges from EvaluateSchedule:\ngot  %+v\nwant %+v", sizing, totalsOnly, want)
+		}
+		totals[i] = got.Total()
+	}
+	if totals[1] < totals[0] {
+		t.Fatalf("dedicated fleet total %v below shared %v", totals[1], totals[0])
+	}
+	if !overlapping(sch) && totals[1] != totals[0] {
+		t.Fatalf("no deployments overlap, yet dedicated %v differs from shared %v", totals[1], totals[0])
+	}
+	return totals[0], totals[1]
+}
+
+// TestQuickScheduleProperties checks the shape of Eqs. 1-2 over random
+// platforms of every kind — scalar, traced, shifted and capped — and
+// back-to-back, gapped and overlapping schedules: on top of
+// checkScheduleInvariants, the totals under either sizing never fall
+// when one deployment lives longer (its arrival fixed) or serves a
+// larger volume.
+func TestQuickScheduleProperties(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for i := 0; i < 300; i++ {
+		kind := allKinds[i%len(allKinds)]
+		p := randomPlatform(t, r, kind)
+		applyVariant(r, &p, r.Intn(4))
+		sch := randomSchedule(r, r.Intn(3), 1+r.Intn(8))
+		shared, dedicated := checkScheduleInvariants(t, p, sch)
+
+		j := r.Intn(len(sch.Deployments))
+		for _, bump := range []struct {
+			name string
+			set  func(*Application, float64)
+		}{
+			{"lifetime", func(a *Application, f float64) { a.Lifetime = units.YearsOf(a.Lifetime.Years() * f) }},
+			{"volume", func(a *Application, f float64) { a.Volume *= f }},
+		} {
+			more := sch
+			more.Deployments = append([]Deployment(nil), sch.Deployments...)
+			bump.set(&more.Deployments[j].App, 1+r.Float64())
+			s2, d2 := checkScheduleInvariants(t, p, more)
+			if s2 < shared || d2 < dedicated {
+				t.Fatalf("iter %d: %s %s: a larger %s of deployment %d cut the total: shared %v -> %v, dedicated %v -> %v",
+					i, kind, p.Spec.Name, bump.name, j, shared, s2, dedicated, d2)
+			}
+		}
+	}
+}
+
+// FuzzSchedule drives the one Eq. 1/Eq. 2 loop with random back-to-back,
+// gapped and overlapping schedules on every kind, scalar, traced and
+// capped: totals are finite, the prepared-draw path equals
+// EvaluateSchedule, and a dedicated fleet never costs less than a
+// shared one (see checkScheduleInvariants).
+func FuzzSchedule(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(5), false)
+	f.Add(int64(2), uint8(1), uint8(1), uint8(2), uint8(8), true)
+	f.Add(int64(3), uint8(2), uint8(3), uint8(1), uint8(3), false)
+	f.Add(int64(4), uint8(3), uint8(2), uint8(2), uint8(20), false)
+	f.Fuzz(func(t *testing.T, seed int64, kind, variant, layout, napps uint8, strict bool) {
+		r := rand.New(rand.NewSource(seed))
+		kinds := device.Kinds()
+		p := randomPlatform(t, r, kinds[int(kind)%len(kinds)])
+		applyVariant(r, &p, int(variant))
+		sch := randomSchedule(r, int(layout), 1+int(napps)%32)
+		sch.StrictEq2 = strict
+		checkScheduleInvariants(t, p, sch)
+	})
 }
