@@ -354,15 +354,14 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[i], setErr)
 		}
 	}
-	s := core.Uniform("mc", nApps, 0, isoperf.ReferenceVolume, 0)
-	if len(s.Apps) == 0 && setErr == nil {
-		// Every draw of an empty study fails as its scenario does.
-		setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[0], s.Validate())
-	}
-	base := core.Sequential(s)
-	// A draw's schedule: its names are fixed per study, and its
-	// lifetime is drawn and its deployments re-timed back to back.
+	// A draw's schedule: its names (Uniform's) are fixed per study, its
+	// lifetime is drawn and its deployments are re-timed back to back.
 	// Draws run concurrently, so each borrows its own.
+	base := core.Staggered("mc", nApps, 0, 0, isoperf.ReferenceVolume, 0)
+	if len(base.Deployments) == 0 && setErr == nil {
+		// Every draw of an empty study fails as its scenario does.
+		setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[0], core.Scenario{Name: "mc"}.Validate())
+	}
 	scratch := sync.Pool{New: func() any {
 		sch := base
 		sch.Deployments = append([]core.Deployment(nil), base.Deployments...)
