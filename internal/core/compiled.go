@@ -74,7 +74,7 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 		return Assessment{}, err
 	}
 	sch := Sequential(s)
-	return c.prep.evaluate(&sch, &c.terms, true, 0)
+	return c.prep.evaluate(&sch, &c.terms, true)
 }
 
 // EvaluateUniform computes the assessment of a uniform scenario — n

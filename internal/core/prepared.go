@@ -140,14 +140,7 @@ func (pp *Prepared) EvaluateTotals(k Knobs, sch Schedule) (Assessment, error) {
 	if err := sch.Validate(); err != nil {
 		return Assessment{}, err
 	}
-	var peakDemand float64
-	if sch.Sizing == SizeDedicated {
-		var err error
-		if _, peakDemand, err = pp.peaks(&sch); err != nil {
-			return Assessment{}, err
-		}
-	}
-	return pp.evaluate(&sch, &t, false, peakDemand)
+	return pp.evaluate(&sch, &t, false)
 }
 
 // derive is the knob stage: it validates k and fills t with the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"greenfpga/internal/device"
 	"greenfpga/internal/units"
 )
 
@@ -114,24 +115,29 @@ func (sch Schedule) Span() units.Years {
 // deployments. Residencies are half-open [start, end): a deployment
 // retiring exactly when another arrives does not overlap it.
 func (sch Schedule) PeakConcurrent() int {
-	peak, _ := sch.peaks(nil)
+	peak, _, _ := sch.peaks(nil)
 	return peak
 }
 
 // peaks sweeps the arrival/retirement events once, returning the peak
-// resident-deployment count and, when demand is non-nil (one device
-// count per deployment), the peak aggregate device demand.
-func (sch Schedule) peaks(demand []float64) (int, float64) {
+// resident-deployment count and, when spec is non-nil, the peak
+// aggregate device demand on it: each deployment needs
+// Volume x spec.Required(SizeGates) devices.
+func (sch Schedule) peaks(spec *device.Spec) (int, float64, error) {
 	type event struct {
 		t     float64
 		start bool
 		d     float64
 	}
 	events := make([]event, 0, 2*len(sch.Deployments))
-	for i, dep := range sch.Deployments {
+	for _, dep := range sch.Deployments {
 		var dev float64
-		if demand != nil {
-			dev = demand[i]
+		if spec != nil {
+			n, err := spec.Required(dep.App.SizeGates)
+			if err != nil {
+				return 0, 0, err
+			}
+			dev = dep.App.Volume * float64(n)
 		}
 		events = append(events,
 			event{t: dep.Start.Years(), start: true, d: dev},
@@ -162,7 +168,7 @@ func (sch Schedule) peaks(demand []float64) (int, float64) {
 			curD -= e.d
 		}
 	}
-	return peak, peakD
+	return peak, peakD, nil
 }
 
 // Sequential serializes a Scenario onto the timeline back to back
@@ -248,37 +254,22 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 	}
 	out := ScheduleAssessment{Span: sch.Span()}
 	var err error
-	if out.PeakConcurrent, out.PeakDemand, err = c.prep.peaks(&sch); err != nil {
+	if out.PeakConcurrent, out.PeakDemand, err = sch.peaks(&c.prep.platform.Spec); err != nil {
 		return ScheduleAssessment{}, err
 	}
-	if out.Assessment, err = c.prep.evaluate(&sch, &c.terms, true, out.PeakDemand); err != nil {
+	if out.Assessment, err = c.prep.evaluate(&sch, &c.terms, true); err != nil {
 		return ScheduleAssessment{}, err
 	}
 	return out, nil
 }
 
-// peaks is Schedule.peaks over the platform's device demand: each
-// deployment needs Volume x Required(SizeGates) devices.
-func (pp *Prepared) peaks(sch *Schedule) (int, float64, error) {
-	demand := make([]float64, len(sch.Deployments))
-	for i, dep := range sch.Deployments {
-		n, err := pp.platform.Spec.Required(dep.App.SizeGates)
-		if err != nil {
-			return 0, 0, err
-		}
-		demand[i] = dep.App.Volume * float64(n)
-	}
-	peak, peakDemand := sch.peaks(demand)
-	return peak, peakDemand, nil
-}
-
 // evaluate is the one Eq. 1/Eq. 2 loop, behind Compiled.Evaluate,
 // Compiled.EvaluateSchedule and Prepared.EvaluateTotals: it evaluates
-// the valid schedule on the prepared platform with the scalar terms t.
-// perApp selects whether it records the per-deployment contributions,
-// and peakDemand, the schedule's peak aggregate device demand, is the
-// fleet of a SizeDedicated schedule (nothing else reads it).
-func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, peakDemand float64) (Assessment, error) {
+// the valid schedule on the prepared platform with the scalar terms t,
+// and perApp selects whether it records the per-deployment
+// contributions. Only a SizeDedicated schedule allocates beyond
+// PerApp, for its peak-demand sweep.
+func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, error) {
 	p := &pp.platform
 	out := Assessment{
 		Platform:            p.Spec.Name,
@@ -296,9 +287,13 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, peakDemand fl
 		// deployments. A shared fleet covers the largest single
 		// deployment (the paper's Eq. 2 fleet), folded in deployment
 		// order; a dedicated one covers the peak aggregate demand.
-		fleet := peakDemand
-		if sch.Sizing != SizeDedicated {
-			fleet = 0
+		var fleet float64
+		if sch.Sizing == SizeDedicated {
+			var err error
+			if _, fleet, err = sch.peaks(&p.Spec); err != nil {
+				return Assessment{}, err
+			}
+		} else {
 			for i := range sch.Deployments {
 				app := &sch.Deployments[i].App
 				n, err := p.Spec.Required(app.SizeGates)

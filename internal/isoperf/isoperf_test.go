@@ -393,3 +393,37 @@ func TestPaperFig2Headline(t *testing.T) {
 		t.Errorf("ten-app saving %.1f%%, paper reports ~25%%", saving*100)
 	}
 }
+
+// TestCompiledSetMemo checks the process-wide compiled-set memo: every
+// calibrated domain compiles to its Set's platforms in Set order, a
+// second lookup returns the same compilations, and unknown names fail
+// without being cached.
+func TestCompiledSetMemo(t *testing.T) {
+	for _, d := range Domains() {
+		cs, err := CompiledSet(d.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		set, err := d.Set()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cs.Set(), set) {
+			t.Fatalf("%s: compiled members diverge from Set():\ngot  %+v\nwant %+v", d.Name, cs.Set(), set)
+		}
+		again, err := CompiledSet(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cs {
+			if again[i] != cs[i] {
+				t.Fatalf("%s: member %d recompiled on the second lookup", d.Name, i)
+			}
+		}
+	}
+	for _, name := range []string{"dnn", "Quantum", ""} {
+		if _, err := CompiledSet(name); err == nil {
+			t.Errorf("CompiledSet(%q) must fail", name)
+		}
+	}
+}
