@@ -325,8 +325,10 @@ const (
 // whose app-development is the paper's hardware flow, while GPU/CPU
 // members keep their software-port profiles. The (FPGA, ASIC) instance
 // is the paper's FPGA:ASIC study. The two set members are prepared
-// once per configuration (core.Prepare: every draw-invariant quantity
-// evaluated), with the application names; a draw validates the drawn
+// (core.Prepare: every draw-invariant quantity evaluated) once per
+// process for a calibrated domain, through isoperf.CompiledSet, and
+// once per configuration otherwise; the application names are built
+// once per configuration. A draw validates the drawn
 // duty cycle and staffing as d.Set() would, then evaluates each member
 // through core.Prepared.EvaluateTotals at its drawn core.Knobs on the
 // scenario's Sequential schedule, borrowed from a per-configuration
@@ -344,16 +346,7 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 		clampHi = 1
 	}
 	kinds := [2]DeviceKind{kindA, kindB}
-	var members [2]*core.Prepared
-	set, setErr := d.Set()
-	for i := 0; i < 2 && setErr == nil; i++ {
-		var p Platform
-		if p, setErr = set.Member(kinds[i]); setErr != nil {
-			setErr = fmt.Errorf("greenfpga: domain %s: %w", d.Name, setErr)
-		} else if members[i], setErr = core.Prepare(p); setErr != nil {
-			setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[i], setErr)
-		}
-	}
+	members, setErr := studyMembers(d, kinds)
 	// A draw's schedule: its names (Uniform's) are fixed per study, its
 	// lifetime is drawn and its deployments are re-timed back to back.
 	// Draws run concurrently, so each borrows its own.
@@ -422,6 +415,43 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			return math.Inf(1), nil
 		},
 	}
+}
+
+// studyMembers returns the prepared set members of the two kinds. A
+// calibrated domain's members come from isoperf.CompiledSet, prepared
+// once per process (calibrated as Domain.Set's memo tests it: d equals
+// the built-in domain of its name); any other domain's are built from
+// d.Set() and prepared here.
+func studyMembers(d Domain, kinds [2]DeviceKind) ([2]*core.Prepared, error) {
+	var members [2]*core.Prepared
+	if c, err := isoperf.ByName(d.Name); err == nil && c == d {
+		cs, err := isoperf.CompiledSet(d.Name)
+		if err != nil {
+			return members, err
+		}
+		for i, kind := range kinds {
+			m, err := cs.Member(kind)
+			if err != nil {
+				return members, fmt.Errorf("greenfpga: domain %s: %w", d.Name, err)
+			}
+			members[i] = m.Prepared()
+		}
+		return members, nil
+	}
+	set, err := d.Set()
+	if err != nil {
+		return members, err
+	}
+	for i, kind := range kinds {
+		p, err := set.Member(kind)
+		if err != nil {
+			return members, fmt.Errorf("greenfpga: domain %s: %w", d.Name, err)
+		}
+		if members[i], err = core.Prepare(p); err != nil {
+			return members, fmt.Errorf("greenfpga: %s side: %w", kind, err)
+		}
+	}
+	return members, nil
 }
 
 // Kernels lists the built-in workload library.

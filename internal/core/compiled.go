@@ -54,6 +54,10 @@ func compile(p Platform, c *Compiled) error {
 // Platform returns the compiled platform inputs.
 func (c *Compiled) Platform() Platform { return c.prep.platform }
 
+// Prepared returns the compiled platform's draw-invariant stage,
+// shared with c and, like it, immutable.
+func (c *Compiled) Prepared() *Prepared { return &c.prep }
+
 // DeviceCost returns the cached per-device embodied cost.
 func (c *Compiled) DeviceCost() DeviceCost { return c.deviceCost }
 
@@ -74,7 +78,9 @@ func (c *Compiled) Evaluate(s Scenario) (Assessment, error) {
 		return Assessment{}, err
 	}
 	sch := Sequential(s)
-	return c.prep.evaluate(&sch, &c.terms, true)
+	var out Assessment
+	err := c.prep.evaluate(&sch, &c.terms, true, &out)
+	return out, err
 }
 
 // EvaluateUniform computes the assessment of a uniform scenario — n
@@ -118,7 +124,8 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 		if p.ChipLifetime > 0 && lifetime > p.ChipLifetime {
 			gens = int(math.Ceil(lifetime.Years() / p.ChipLifetime.Years()))
 		}
-		b := c.appBreakdown(&app, devices, false, 0)
+		var b Breakdown
+		c.addApp(&b, &app, devices, false, 0)
 		b.Design = c.design
 		c.addHardware(&b, devices*float64(gens))
 		out.Breakdown = b.Scale(float64(n))
@@ -149,7 +156,9 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 	out.FleetSize = devices
 	out.HardwareGenerations = gens
 	out.DevicesManufactured = devices * float64(gens)
-	out.Breakdown = c.appBreakdown(&app, devices, false, 0).Scale(float64(n))
+	var b Breakdown
+	c.addApp(&b, &app, devices, false, 0)
+	out.Breakdown = b.Scale(float64(n))
 	if c.traced() {
 		out.Breakdown.Operation = c.uniformOperation(n, lifetime, devices*app.utilization())
 	}

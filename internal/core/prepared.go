@@ -140,7 +140,9 @@ func (pp *Prepared) EvaluateTotals(k Knobs, sch Schedule) (Assessment, error) {
 	if err := sch.Validate(); err != nil {
 		return Assessment{}, err
 	}
-	return pp.evaluate(&sch, &t, false)
+	var out Assessment
+	err := pp.evaluate(&sch, &t, false, &out)
+	return out, err
 }
 
 // derive is the knob stage: it validates k and fills t with the
@@ -276,18 +278,17 @@ func (t *terms) addHardware(b *Breakdown, devices float64) {
 	b.EOL += t.eolNet.Scale(devices)
 }
 
-// appBreakdown is one application's deployment contribution (operation
-// + app development + configuration), shared by both equations.
-// startYears places the residency window [start, start+Lifetime) on
+// addApp adds one application's deployment contribution (operation
+// + app development + configuration), shared by both equations, into
+// b. startYears places the residency window [start, start+Lifetime) on
 // the wall clock; it only matters on traced platforms — the scalar
 // path is position-independent and stays the legacy expression
 // verbatim, which is what keeps scalar regions bit-for-bit stable.
-func (t *terms) appBreakdown(app *Application, devices float64, strictEq2 bool, startYears float64) Breakdown {
-	var b Breakdown
+func (t *terms) addApp(b *Breakdown, app *Application, devices float64, strictEq2 bool, startYears float64) {
 	if t.traced() {
-		b.Operation = t.opWindow(startYears, app.Lifetime.Years()).Scale(devices * app.utilization())
+		b.Operation += t.opWindow(startYears, app.Lifetime.Years()).Scale(devices * app.utilization())
 	} else {
-		b.Operation = t.opAnnual.Scale(devices * app.Lifetime.Years() * app.utilization())
+		b.Operation += t.opAnnual.Scale(devices * app.Lifetime.Years() * app.utilization())
 	}
 	appDevCost := t.perApp
 	cfgCost := t.perCfg.Scale(devices)
@@ -295,7 +296,6 @@ func (t *terms) appBreakdown(app *Application, devices float64, strictEq2 bool, 
 		appDevCost = appDevCost.Scale(app.Lifetime.Years())
 		cfgCost = cfgCost.Scale(app.Lifetime.Years())
 	}
-	b.AppDevelopment = appDevCost
-	b.Configuration = cfgCost
-	return b
+	b.AppDevelopment += appDevCost
+	b.Configuration += cfgCost
 }

@@ -30,7 +30,10 @@ type Application struct {
 }
 
 // Validate checks the application.
-func (a Application) Validate() error {
+func (a Application) Validate() error { return a.validate() }
+
+// validate is Validate in place.
+func (a *Application) validate() error {
 	switch {
 	case a.Lifetime.Years() <= 0:
 		return fmt.Errorf("core: application %q needs a positive lifetime, got %v", a.Name, a.Lifetime)
@@ -73,8 +76,8 @@ func (s Scenario) Validate() error {
 	if len(s.Apps) == 0 {
 		return fmt.Errorf("core: scenario %q has no applications", s.Name)
 	}
-	for _, a := range s.Apps {
-		if err := a.Validate(); err != nil {
+	for i := range s.Apps {
+		if err := s.Apps[i].validate(); err != nil {
 			return err
 		}
 	}
@@ -145,15 +148,19 @@ func (b Breakdown) Total() units.Mass {
 
 // Add accumulates another breakdown.
 func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Design:         b.Design + o.Design,
-		Manufacturing:  b.Manufacturing + o.Manufacturing,
-		Packaging:      b.Packaging + o.Packaging,
-		EOL:            b.EOL + o.EOL,
-		Operation:      b.Operation + o.Operation,
-		AppDevelopment: b.AppDevelopment + o.AppDevelopment,
-		Configuration:  b.Configuration + o.Configuration,
-	}
+	b.add(&o)
+	return b
+}
+
+// add is Add in place: it adds o into b field by field.
+func (b *Breakdown) add(o *Breakdown) {
+	b.Design += o.Design
+	b.Manufacturing += o.Manufacturing
+	b.Packaging += o.Packaging
+	b.EOL += o.EOL
+	b.Operation += o.Operation
+	b.AppDevelopment += o.AppDevelopment
+	b.Configuration += o.Configuration
 }
 
 // Scale multiplies every component by k.

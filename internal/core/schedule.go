@@ -26,11 +26,15 @@ func (d Deployment) End() units.Years {
 }
 
 // Validate checks the deployment.
-func (d Deployment) Validate() error {
+func (d Deployment) Validate() error { return d.validate() }
+
+// validate is Validate in place, so Schedule.Validate checks each
+// deployment without copying it.
+func (d *Deployment) validate() error {
 	if d.Start.Years() < 0 {
 		return fmt.Errorf("core: deployment %q starts at negative time %v", d.App.Name, d.Start)
 	}
-	return d.App.Validate()
+	return d.App.validate()
 }
 
 // FleetSizing selects how overlapping residents of a reusable fleet
@@ -88,8 +92,8 @@ func (sch Schedule) Validate() error {
 	if err := sch.Sizing.Validate(); err != nil {
 		return err
 	}
-	for _, d := range sch.Deployments {
-		if err := d.Validate(); err != nil {
+	for i := range sch.Deployments {
+		if err := sch.Deployments[i].validate(); err != nil {
 			return err
 		}
 	}
@@ -104,7 +108,8 @@ func (sch Schedule) Span() units.Years {
 	}
 	minStart := math.Inf(1)
 	maxEnd := math.Inf(-1)
-	for _, d := range sch.Deployments {
+	for i := range sch.Deployments {
+		d := &sch.Deployments[i]
 		minStart = math.Min(minStart, d.Start.Years())
 		maxEnd = math.Max(maxEnd, d.End().Years())
 	}
@@ -257,7 +262,7 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 	if out.PeakConcurrent, out.PeakDemand, err = sch.peaks(&c.prep.platform.Spec); err != nil {
 		return ScheduleAssessment{}, err
 	}
-	if out.Assessment, err = c.prep.evaluate(&sch, &c.terms, true); err != nil {
+	if err = c.prep.evaluate(&sch, &c.terms, true, &out.Assessment); err != nil {
 		return ScheduleAssessment{}, err
 	}
 	return out, nil
@@ -265,17 +270,15 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 
 // evaluate is the one Eq. 1/Eq. 2 loop, behind Compiled.Evaluate,
 // Compiled.EvaluateSchedule and Prepared.EvaluateTotals: it evaluates
-// the valid schedule on the prepared platform with the scalar terms t,
-// and perApp selects whether it records the per-deployment
-// contributions. Only a SizeDedicated schedule allocates beyond
-// PerApp, for its peak-demand sweep.
-func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, error) {
+// the valid schedule on the prepared platform with the scalar terms t
+// into out, which must be the zero Assessment, adding each
+// deployment's contribution to out.Breakdown field by field; perApp
+// selects whether it also records the per-deployment contributions.
+// Only a SizeDedicated schedule allocates beyond PerApp, for its
+// peak-demand sweep.
+func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, out *Assessment) error {
 	p := &pp.platform
-	out := Assessment{
-		Platform:            p.Spec.Name,
-		Kind:                p.Spec.Kind,
-		HardwareGenerations: 1,
-	}
+	out.Platform, out.Kind, out.HardwareGenerations = p.Spec.Name, p.Spec.Kind, 1
 	if perApp {
 		out.PerApp = make([]AppAssessment, 0, len(sch.Deployments))
 	}
@@ -291,14 +294,14 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, 
 		if sch.Sizing == SizeDedicated {
 			var err error
 			if _, fleet, err = sch.peaks(&p.Spec); err != nil {
-				return Assessment{}, err
+				return err
 			}
 		} else {
 			for i := range sch.Deployments {
 				app := &sch.Deployments[i].App
 				n, err := p.Spec.Required(app.SizeGates)
 				if err != nil {
-					return Assessment{}, err
+					return err
 				}
 				fleet = math.Max(fleet, app.Volume*float64(n))
 			}
@@ -312,7 +315,7 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, 
 		out.FleetSize = fleet
 		out.HardwareGenerations = gens
 		out.DevicesManufactured = fleet * float64(gens)
-		out.Breakdown.Design = t.design
+		out.Breakdown.Design += t.design
 		t.addHardware(&out.Breakdown, fleet*float64(gens))
 	}
 
@@ -320,10 +323,17 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, 
 		dep := &sch.Deployments[i]
 		n, err := p.Spec.Required(dep.App.SizeGates)
 		if err != nil {
-			return Assessment{}, err
+			return err
 		}
 		devices := dep.App.Volume * float64(n)
-		b := t.appBreakdown(&dep.App, devices, sch.StrictEq2, dep.Start.Years())
+		// b receives this deployment's contribution: the totals
+		// directly, or its own PerApp entry, added to the totals below.
+		b := &out.Breakdown
+		if perApp {
+			out.PerApp = append(out.PerApp, AppAssessment{Name: dep.App.Name, DevicesPerUnit: n})
+			b = &out.PerApp[len(out.PerApp)-1].Breakdown
+		}
+		t.addApp(b, &dep.App, devices, sch.StrictEq2, dep.Start.Years())
 		if !reusable {
 			// Eq. 1: every deployment pays design + hardware, its
 			// hardware generation count following its own lifetime.
@@ -331,19 +341,16 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool) (Assessment, 
 			if p.ChipLifetime > 0 && dep.App.Lifetime > p.ChipLifetime {
 				gens = int(math.Ceil(dep.App.Lifetime.Years() / p.ChipLifetime.Years()))
 			}
-			b.Design = t.design
-			t.addHardware(&b, devices*float64(gens))
+			b.Design += t.design
+			t.addHardware(b, devices*float64(gens))
 			out.DevicesManufactured += devices * float64(gens)
 			out.FleetSize = math.Max(out.FleetSize, devices)
 		}
 		if perApp {
-			out.PerApp = append(out.PerApp, AppAssessment{
-				Name: dep.App.Name, DevicesPerUnit: n, Breakdown: b,
-			})
+			out.Breakdown.add(b)
 		}
-		out.Breakdown = out.Breakdown.Add(b)
 	}
-	return out, nil
+	return nil
 }
 
 // ScheduleComparison is the outcome of evaluating every platform of a

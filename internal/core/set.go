@@ -72,6 +72,18 @@ func (cs CompiledSet) Set() Set {
 	return out
 }
 
+// Member finds the compiled platform of the given device kind; it
+// fails as Set.Member does.
+func (cs CompiledSet) Member(kind device.Kind) (*Compiled, error) {
+	for _, c := range cs {
+		if c.prep.platform.Spec.Kind == kind {
+			return c, nil
+		}
+	}
+	_, err := cs.Set().Member(kind)
+	return nil, err
+}
+
 // SetComparison is the outcome of evaluating every platform of a set
 // on one shared scenario.
 type SetComparison struct {
