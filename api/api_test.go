@@ -261,6 +261,33 @@ func TestMonteCarloDrawAllocs(t *testing.T) {
 	}
 }
 
+// TestMonteCarloStudyAllocs bounds the heap allocations of one whole
+// warm 500-draw /v1/mc study (DNN FPGA:ASIC, 5 applications): planning,
+// the configuration built for the draws and again for the assembly,
+// the draws, the tornado and the response. A calibrated domain's
+// members come prepared from the process-wide compiled set, so neither
+// configuration copies a set or prepares a platform; doing so again
+// costs about ten allocations per study, more than the headroom here.
+// The budget is 83 measured allocations plus 4.
+func TestMonteCarloStudyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	req := MonteCarloRequest{Domain: "DNN", Samples: 500, Seed: 11}
+	run := func() {
+		if _, err := testEval.RunMonteCarlo(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the compiled set and preset caches
+	const budget = 87
+	allocs := testing.AllocsPerRun(20, run)
+	if allocs > budget {
+		t.Errorf("a 500-draw mc study allocates %.0f objects, budget %d", allocs, budget)
+	}
+	t.Logf("500-draw mc study: %.0f allocs (budget %d)", allocs, budget)
+}
+
 // TestRunCompareDefaults checks the four-way default comparison: full
 // DNN set, §4.2 reference scenario, 12-point frontier, with the
 // pairwise ratios consistent with the per-platform totals.

@@ -250,9 +250,8 @@ func (w WorkloadSpec) scenario(name string) (core.Scenario, error) {
 		// malformed napps the client never sent.
 		return core.Scenario{}, core.Scenario{Name: name}.Validate()
 	}
-	if w.NApps < 1 {
-		return core.Scenario{}, &Error{Code: "invalid_request",
-			Message: fmt.Sprintf("napps must be >= 1, got %d", w.NApps)}
+	if err := checkNApps(w.NApps); err != nil {
+		return core.Scenario{}, err
 	}
 	s := core.Uniform(name, w.NApps, units.YearsOf(w.LifetimeYears), w.Volume, w.SizeGates)
 	s.StrictEq2 = w.StrictEq2

@@ -370,9 +370,8 @@ func (e *Evaluator) RunCompare(ctx context.Context, req CompareRequest) (*Compar
 	if err != nil {
 		return nil, err
 	}
-	if w.NApps < 1 {
-		return nil, &Error{Code: "invalid_request",
-			Message: fmt.Sprintf("napps must be >= 1, got %d", w.NApps)}
+	if err := checkNApps(w.NApps); err != nil {
+		return nil, err
 	}
 	if req.MaxApps < 1 {
 		return nil, &Error{Code: "invalid_request",
@@ -810,6 +809,9 @@ func (e *Evaluator) planMonteCarlo(ctx context.Context, req MonteCarloRequest) (
 		return nil, &Error{Code: "invalid_request",
 			Message: "mc draws the application lifetime from Table 1 and fixes the reference volume; the workload sets napps only"}
 	}
+	if err := checkNApps(w.NApps); err != nil {
+		return nil, err
+	}
 	if req.Samples > MaxMonteCarloSamples {
 		return nil, fmt.Errorf("%d samples exceeds the %d limit", req.Samples, MaxMonteCarloSamples)
 	}
@@ -944,8 +946,11 @@ func Regions() RegionList {
 			IntensityGPerKWh: ci.GramsPerKWh(),
 		}
 		if r.Traced {
-			if t, err := r.Trace(); err == nil {
-				entry.MeanGPerKWh = t.Mean().GramsPerKWh()
+			if it, err := carbon.IntegratorFor(r.Name); err == nil {
+				// The integrator was built from this trace, which is
+				// cached now, so reading it cannot fail.
+				t, _ := r.Trace()
+				entry.MeanGPerKWh = it.Mean().GramsPerKWh()
 				lo, hi := t.Bounds()
 				entry.MinGPerKWh = lo.GramsPerKWh()
 				entry.MaxGPerKWh = hi.GramsPerKWh()
@@ -1003,9 +1008,8 @@ func (e *Evaluator) planFleet(ctx context.Context, req FleetRequest) (*chunkPlan
 	if err != nil {
 		return nil, err
 	}
-	if w.NApps < 1 {
-		return nil, &Error{Code: "invalid_request",
-			Message: fmt.Sprintf("napps must be >= 1, got %d", w.NApps)}
+	if err := checkNApps(w.NApps); err != nil {
+		return nil, err
 	}
 	switch req.Shift {
 	case "", carbon.ShiftDaily:
@@ -1030,11 +1034,11 @@ func (e *Evaluator) planFleet(ctx context.Context, req FleetRequest) (*chunkPlan
 			return nil, err
 		}
 		if reg.Traced {
-			t, err := reg.Trace()
+			it, err := carbon.IntegratorFor(reg.Name)
 			if err != nil {
 				return nil, err
 			}
-			mean = t.Mean()
+			mean = it.Mean()
 		}
 		st.regions = append(st.regions, reg)
 		st.means = append(st.means, mean.GramsPerKWh())

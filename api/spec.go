@@ -405,6 +405,15 @@ func (w WorkloadSpec) uniformArm(what string) (WorkloadSpec, error) {
 	return w, nil
 }
 
+// checkNApps rejects a uniform workload of fewer than one
+// application before any evaluation runs.
+func checkNApps(n int) error {
+	if n < 1 {
+		return &Error{Code: "invalid_request", Message: fmt.Sprintf("napps must be >= 1, got %d", n)}
+	}
+	return nil
+}
+
 // withUniformDefaults fills zero uniform fields with the given
 // defaults (a zero default leaves the field alone), so spelled-out and
 // omitted defaults are one cache entry. Non-uniform arms pass through

@@ -769,4 +769,15 @@ func TestMCSpecValidation(t *testing.T) {
 		t.Errorf("napps above the limit must be an invalid_request naming %d, got %v",
 			MaxMonteCarloApps, err)
 	}
+	// A count below one is rejected before any draw runs, as compare,
+	// timeline and fleet reject it, not by draw 0's empty scenario.
+	for _, n := range []int{-1, -5} {
+		_, err = testEval.RunMonteCarlo(context.Background(), MonteCarloRequest{
+			Samples: MaxMonteCarloSamples, Workload: &WorkloadSpec{NApps: n},
+		})
+		want := fmt.Sprintf("napps must be >= 1, got %d", n)
+		if e := ToError(err); err == nil || e.Code != "invalid_request" || e.Message != want {
+			t.Errorf("napps %d must be an invalid_request %q, got %v", n, want, err)
+		}
+	}
 }

@@ -490,6 +490,12 @@ func TestCmdMC(t *testing.T) {
 	if err := cmdMC([]string{"-domain", "Quantum"}); err == nil {
 		t.Error("unknown domain must error")
 	}
+	// A negative application count is a request error, reported before
+	// any draw runs, not draw 0's empty-scenario failure.
+	err = cmdMC([]string{"-napps", "-1"})
+	if err == nil || err.Error() != "invalid_request: napps must be >= 1, got -1" {
+		t.Errorf("mc -napps -1: got %v, want the invalid_request napps error", err)
+	}
 }
 
 func TestCmdExampleConfig(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"greenfpga"
+	"greenfpga/internal/isoperf"
 	"greenfpga/internal/montecarlo"
 )
 
@@ -263,4 +264,106 @@ func TestDomainRatioStudyBetween(t *testing.T) {
 		context.Background(), d, greenfpga.DeviceKind("npu"), greenfpga.ASIC, 5, 10, 1)); err == nil {
 		t.Error("unknown kind must error")
 	}
+}
+
+// TestDegenerateMonteCarlo pins the Monte-Carlo draw against the
+// deterministic path. With every Param of a DomainRatioStudyConfig
+// replaced by Fixed at its mean, every sample and every reported
+// percentile must equal the kindA/kindB total ratio that Evaluate
+// gives on the domain's set at those knobs, bit for bit: on every
+// calibrated domain, whose members come from the process-wide compiled
+// set, and on a modified one, whose members are prepared per study.
+// Seeded random studies must report ordered percentiles.
+func TestDegenerateMonteCarlo(t *testing.T) {
+	ctx := context.Background()
+	pairs := [][2]greenfpga.DeviceKind{
+		{greenfpga.FPGA, greenfpga.ASIC},
+		{greenfpga.GPU, greenfpga.FPGA},
+		{greenfpga.CPU, greenfpga.ASIC},
+	}
+	domains := greenfpga.Domains()
+	modified := domains[0]
+	modified.PowerRatio *= 1.5
+	for _, d := range append(domains, modified) {
+		for _, kinds := range pairs {
+			for _, napps := range []int{1, 5} {
+				cfg := greenfpga.DomainRatioStudyConfig(ctx, d, kinds[0], kinds[1], napps, 500, 7)
+				knob := map[string]float64{}
+				for i, p := range cfg.Params {
+					knob[p.Name] = p.Dist.Mean()
+					cfg.Params[i].Dist = greenfpga.FixedDist(knob[p.Name])
+				}
+				want := deterministicRatio(t, d, kinds, napps, knob)
+				res, err := greenfpga.RunMonteCarlo(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range res.Samples {
+					if s != want {
+						t.Fatalf("%s %v napps=%d: sample %d = %v, Evaluate ratio %v", d.Name, kinds, napps, i, s, want)
+					}
+				}
+				for _, p := range []float64{5, 25, 50, 75, 95} {
+					if got := res.Percentile(p); got != want {
+						t.Errorf("%s %v napps=%d: P%g = %v, Evaluate ratio %v", d.Name, kinds, napps, p, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	d, err := greenfpga.DomainByName("DNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		kinds := pairs[int(seed)%len(pairs)]
+		res, err := greenfpga.RunMonteCarlo(greenfpga.DomainRatioStudyConfig(ctx, d, kinds[0], kinds[1], int(seed), 200, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := []float64{res.Percentile(5), res.Percentile(25), res.Percentile(50), res.Percentile(75), res.Percentile(95)}
+		for i := 1; i < len(ps); i++ {
+			if ps[i-1] > ps[i] {
+				t.Errorf("seed %d %v: percentiles out of order: %v", seed, kinds, ps)
+			}
+		}
+	}
+}
+
+// deterministicRatio is the kinds[0]/kinds[1] total-CFP ratio Evaluate
+// gives on d's set with the study's knobs applied: the domain's duty
+// cycle and staffing, both members' recycling fractions, the FPGA
+// member's front- and back-end times, and napps applications of the
+// knob lifetime at the reference volume.
+func deterministicRatio(t *testing.T, d greenfpga.Domain, kinds [2]greenfpga.DeviceKind, napps int, knob map[string]float64) float64 {
+	t.Helper()
+	d.DutyCycle = knob["duty_cycle"]
+	d.DesignEngineers = knob["design_staff"]
+	set, err := d.Set()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := greenfpga.Uniform("mc", napps, greenfpga.Years(knob["app_lifetime_years"]), isoperf.ReferenceVolume, 0)
+	var totals [2]float64
+	for i, kind := range kinds {
+		p, err := set.Member(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RecycledMaterialFraction = knob["recycled_fraction"]
+		p.EOL.RecycleFraction = knob["eol_delta"]
+		if kind == greenfpga.FPGA {
+			ad := p.AppDevProfile()
+			ad.FrontEnd = greenfpga.Months(knob["t_fe_months"])
+			ad.BackEnd = greenfpga.Months(knob["t_be_months"])
+			p.AppDev = &ad
+		}
+		a, err := greenfpga.Evaluate(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals[i] = a.Total().Kilograms()
+	}
+	return totals[0] / totals[1]
 }

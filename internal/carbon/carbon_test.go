@@ -401,6 +401,34 @@ func TestRegions(t *testing.T) {
 	}
 }
 
+// TestIntegratorMeanMatchesTrace pins the cached integrator's O(1)
+// Mean to the trace's 8,760-hour sum for every traced preset region,
+// bit for bit: the fleet study and the region list read the former in
+// place of the latter.
+func TestIntegratorMeanMatchesTrace(t *testing.T) {
+	traced := 0
+	for _, r := range Regions() {
+		if !r.Traced {
+			continue
+		}
+		traced++
+		tr, err := r.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := IntegratorFor(r.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := it.Mean(), tr.Mean(); got != want {
+			t.Errorf("%s: integrator mean %v, trace mean %v", r.Name, got, want)
+		}
+	}
+	if traced == 0 {
+		t.Fatal("no traced preset region")
+	}
+}
+
 // TestValidate exercises the trace gate.
 func TestValidate(t *testing.T) {
 	cases := []struct {

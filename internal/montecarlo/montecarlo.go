@@ -154,7 +154,9 @@ func (r Result) Percentile(p float64) float64 {
 	pos := p / 100 * float64(len(r.Samples)-1)
 	i := int(pos)
 	frac := pos - float64(i)
-	if i+1 >= len(r.Samples) {
+	// Equal neighbours are returned as they are: the weighted sum can
+	// miss their common value by an ulp.
+	if i+1 >= len(r.Samples) || r.Samples[i] == r.Samples[i+1] {
 		return r.Samples[i]
 	}
 	return r.Samples[i]*(1-frac) + r.Samples[i+1]*frac

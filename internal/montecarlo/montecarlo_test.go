@@ -268,6 +268,22 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
+// TestPercentileConstant checks that a constant sample reports its
+// value at every percentile exactly: interpolating between equal
+// neighbours must not round away from them.
+func TestPercentileConstant(t *testing.T) {
+	const v = 0.8135482354925111
+	r := Result{Samples: make([]float64, 500)}
+	for i := range r.Samples {
+		r.Samples[i] = v
+	}
+	for p := 0.0; p <= 100; p += 0.5 {
+		if got := r.Percentile(p); got != v {
+			t.Fatalf("P%g of a constant sample = %v, want %v", p, got, v)
+		}
+	}
+}
+
 // Property: percentiles are monotone in p and bounded by the sample
 // extremes.
 func TestQuickPercentileMonotone(t *testing.T) {
