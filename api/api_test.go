@@ -262,30 +262,34 @@ func TestMonteCarloDrawAllocs(t *testing.T) {
 }
 
 // TestMonteCarloStudyAllocs bounds the heap allocations of one whole
-// warm 500-draw /v1/mc study (DNN FPGA:ASIC, 5 applications): planning,
-// the configuration built for the draws and again for the assembly,
-// the draws, the tornado and the response. A calibrated domain's
-// members come prepared from the process-wide compiled set, so neither
-// configuration copies a set or prepares a platform; doing so again
-// costs about ten allocations per study, more than the headroom here.
-// The budget is 83 measured allocations plus 4.
+// warm 500-draw /v1/mc study (DNN FPGA:ASIC) at 5 and at 1000
+// applications under one budget: planning, the configuration built
+// once for the draws and the assembly, the draws, the tornado and the
+// response. A draw's applications are one run whatever napps is, so
+// the count does not grow with napps. A calibrated domain's members
+// come prepared from the process-wide compiled set, so the
+// configuration neither copies a set nor prepares a platform; doing so
+// again costs about ten allocations per study, more than the headroom
+// here. The budget is 47 measured allocations plus 4.
 func TestMonteCarloStudyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	req := MonteCarloRequest{Domain: "DNN", Samples: 500, Seed: 11}
-	run := func() {
-		if _, err := testEval.RunMonteCarlo(context.Background(), req); err != nil {
-			t.Fatal(err)
+	const budget = 51
+	for _, napps := range []int{5, 1000} {
+		req := MonteCarloRequest{Domain: "DNN", Samples: 500, Seed: 11, Workload: &WorkloadSpec{NApps: napps}}
+		run := func() {
+			if _, err := testEval.RunMonteCarlo(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
+		run() // warm the compiled set and preset caches
+		allocs := testing.AllocsPerRun(20, run)
+		if allocs > budget {
+			t.Errorf("napps=%d: a 500-draw mc study allocates %.0f objects, budget %d", napps, allocs, budget)
+		}
+		t.Logf("napps=%d: 500-draw mc study: %.0f allocs (budget %d)", napps, allocs, budget)
 	}
-	run() // warm the compiled set and preset caches
-	const budget = 87
-	allocs := testing.AllocsPerRun(20, run)
-	if allocs > budget {
-		t.Errorf("a 500-draw mc study allocates %.0f objects, budget %d", allocs, budget)
-	}
-	t.Logf("500-draw mc study: %.0f allocs (budget %d)", allocs, budget)
 }
 
 // TestRunCompareDefaults checks the four-way default comparison: full

@@ -783,12 +783,14 @@ func (e *Evaluator) RunMonteCarlo(ctx context.Context, req MonteCarloRequest) (*
 }
 
 // mcStudy is a validated, resolved Monte-Carlo study: the domain
-// calibration, the two plain platform kinds and the draw count.
+// calibration, the two plain platform kinds, the draw count and the
+// study's Monte-Carlo configuration, built once per request.
 type mcStudy struct {
 	req   MonteCarloRequest // normalized
 	d     greenfpga.Domain
 	a, b  PlatformSpec
 	nApps int
+	cfg   greenfpga.MCConfig
 }
 
 // planMonteCarlo normalizes and validates the request and resolves the
@@ -848,27 +850,36 @@ func (e *Evaluator) planMonteCarlo(ctx context.Context, req MonteCarloRequest) (
 	if err != nil {
 		return nil, err
 	}
+	// The configuration outlives ctx: a job runs its chunks later,
+	// each under its own context, which bound checks per draw.
+	cfg := greenfpga.DomainRatioStudyConfig(context.Background(), d,
+		greenfpga.DeviceKind(a.Kind), greenfpga.DeviceKind(b.Kind), w.NApps, req.Samples, req.Seed)
 	return &chunkPlan[*MonteCarloResponse]{items: req.Samples, perChunk: mcChunkDraws, width: 1,
-		chunker: &mcStudy{req: req, d: d, a: a, b: b, nApps: w.NApps}}, nil
+		chunker: &mcStudy{req: req, d: d, a: a, b: b, nApps: w.NApps, cfg: cfg}}, nil
 }
 
-// config builds the study's Monte-Carlo configuration bound to ctx
-// (the model closure checks it per draw).
-func (m *mcStudy) config(ctx context.Context) greenfpga.MCConfig {
-	return greenfpga.DomainRatioStudyConfig(ctx, m.d,
-		greenfpga.DeviceKind(m.a.Kind), greenfpga.DeviceKind(m.b.Kind),
-		m.nApps, m.req.Samples, m.req.Seed)
+// bound is the study's configuration with its model checking ctx
+// before every draw.
+func (m *mcStudy) bound(ctx context.Context) greenfpga.MCConfig {
+	cfg, model := m.cfg, m.cfg.Model
+	cfg.Model = func(draw []float64) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return model(draw)
+	}
+	return cfg
 }
 
 // compute evaluates draws [lo, hi).
 func (m *mcStudy) compute(ctx context.Context, lo, hi int) ([]float64, error) {
-	return montecarlo.RunRange(m.config(ctx), lo, hi)
+	return montecarlo.RunRange(m.bound(ctx), lo, hi)
 }
 
 // assemble finalizes the draws — moments, percentiles and the tornado,
 // over every draw in index order — into the response document.
 func (m *mcStudy) assemble(ctx context.Context, draws []float64) (*MonteCarloResponse, error) {
-	res, err := montecarlo.Finalize(m.config(ctx), draws)
+	res, err := montecarlo.Finalize(m.bound(ctx), draws)
 	if err != nil {
 		return nil, err
 	}

@@ -94,6 +94,29 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloNApps runs the served 500-draw DNN FPGA:ASIC
+// study at 1, 5, 100 and 1000 applications (1000 is the /v1/mc cap).
+// A draw prices its applications as one run, so the per-study
+// allocations do not grow with napps.
+func BenchmarkMonteCarloNApps(b *testing.B) {
+	d, err := greenfpga.DomainByName("DNN")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, napps := range []int{1, 5, 100, 1000} {
+		b.Run(fmt.Sprint(napps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := greenfpga.DomainRatioStudyConfig(ctx, d, greenfpga.FPGA, greenfpga.ASIC, napps, 500, int64(i)+1)
+				if _, err := greenfpga.RunMonteCarlo(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Hot-path micro-benchmarks.
 
 // BenchmarkEvaluateFPGA measures one full FPGA scenario evaluation.

@@ -327,16 +327,17 @@ const (
 // is the paper's FPGA:ASIC study. The two set members are prepared
 // (core.Prepare: every draw-invariant quantity evaluated) once per
 // process for a calibrated domain, through isoperf.CompiledSet, and
-// once per configuration otherwise; the application names are built
-// once per configuration. A draw validates the drawn
-// duty cycle and staffing as d.Set() would, then evaluates each member
+// once per configuration otherwise. A draw validates the drawn duty
+// cycle and staffing as d.Set() would, then evaluates each member
 // through core.Prepared.EvaluateTotals at its drawn core.Knobs on the
-// scenario's Sequential schedule, borrowed from a per-configuration
-// scratch pool and re-timed for the drawn lifetime — the
-// members' totals are Evaluate's on the platforms d.Set() builds for
-// the drawn calibration, bit for bit. Every worker checks ctx before
-// its draw, so a cancelled study stops evaluating; the draws consumed
-// before cancellation are identical to an uncancelled run's.
+// scenario's Sequential schedule written as one run of nApps copies
+// (core.Deployment.Repeat) of the drawn lifetime, borrowed from a
+// per-configuration scratch pool: the loop prices the copy once and
+// adds it nApps times, so the members' totals are Evaluate's on the
+// platforms d.Set() builds for the drawn calibration, bit for bit.
+// Every worker checks ctx before its draw, so a cancelled study stops
+// evaluating; the draws consumed before cancellation are identical to
+// an uncancelled run's.
 // Run it whole with RunMonteCarlo, or in draw ranges through
 // montecarlo.RunRange/Finalize as api.Evaluator.RunMonteCarlo and
 // /v1/mc jobs do — the draws are bit-identical either way.
@@ -347,18 +348,18 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 	}
 	kinds := [2]DeviceKind{kindA, kindB}
 	members, setErr := studyMembers(d, kinds)
-	// A draw's schedule: its names (Uniform's) are fixed per study, its
-	// lifetime is drawn and its deployments are re-timed back to back.
-	// Draws run concurrently, so each borrows its own.
-	base := core.Staggered("mc", nApps, 0, 0, isoperf.ReferenceVolume, 0)
-	if len(base.Deployments) == 0 && setErr == nil {
+	if nApps < 1 && setErr == nil {
 		// Every draw of an empty study fails as its scenario does.
 		setErr = fmt.Errorf("greenfpga: %s side: %w", kinds[0], core.Scenario{Name: "mc"}.Validate())
 	}
+	// A draw's schedule is the scenario's Sequential schedule as one
+	// run of nApps back-to-back copies, its lifetime drawn. Draws run
+	// concurrently, so each borrows its own.
 	scratch := sync.Pool{New: func() any {
-		sch := base
-		sch.Deployments = append([]core.Deployment(nil), base.Deployments...)
-		return &sch
+		return &core.Schedule{Name: "mc", Deployments: []core.Deployment{{
+			App:    core.Application{Name: "mc", Volume: isoperf.ReferenceVolume},
+			Repeat: nApps,
+		}}}
 	}}
 	return MCConfig{
 		Samples: samples,
@@ -387,11 +388,7 @@ func DomainRatioStudyConfig(ctx context.Context, d Domain, kindA, kindB DeviceKi
 			}
 			sch := scratch.Get().(*core.Schedule)
 			defer scratch.Put(sch)
-			life := units.YearsOf(draw[mcLifetime])
-			for i := range sch.Deployments {
-				sch.Deployments[i].App.Lifetime = life
-			}
-			sch.BackToBack()
+			sch.Deployments[0].App.Lifetime = units.YearsOf(draw[mcLifetime])
 			var totals [2]float64
 			for i, m := range members {
 				k := m.Knobs()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"greenfpga/internal/units"
 )
@@ -120,10 +119,7 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 	app := Application{Lifetime: lifetime, Volume: volume, SizeGates: sizeGates}
 
 	if !p.Spec.Kind.Policy().Reusable {
-		gens := 1
-		if p.ChipLifetime > 0 && lifetime > p.ChipLifetime {
-			gens = int(math.Ceil(lifetime.Years() / p.ChipLifetime.Years()))
-		}
+		gens := generations(lifetime, p.ChipLifetime)
 		var b Breakdown
 		c.addApp(&b, &app, devices, false, 0)
 		b.Design = c.design
@@ -139,19 +135,13 @@ func (c *Compiled) EvaluateUniform(n int, lifetime units.Years, volume, sizeGate
 
 	gens := 1
 	if p.ChipLifetime > 0 {
-		// Sum the lifetime n times exactly as Sequential places the
-		// last retirement: multiplication rounds differently at
-		// generation boundaries (0.7*10 is exactly 7, ten summed 0.7s
-		// exceed it), and a flip here is a whole hardware generation,
-		// not an ulp. Capped platforms pay this O(n) scalar loop; the
-		// common uncapped case stays O(1).
-		var total float64
-		for i := 0; i < n; i++ {
-			total += lifetime.Years()
-		}
-		if total > p.ChipLifetime.Years() {
-			gens = int(math.Ceil(total / p.ChipLifetime.Years()))
-		}
+		// Span the n applications as the run of them does, the
+		// lifetime summed n times: multiplication rounds differently
+		// at generation boundaries (0.7*10 is exactly 7, ten summed
+		// 0.7s exceed it), and a flip here is a whole hardware
+		// generation, not an ulp. Capped platforms pay this O(n)
+		// scalar loop; the common uncapped case stays O(1).
+		gens = generations(Deployment{App: app, Repeat: n}.End(), p.ChipLifetime)
 	}
 	out.FleetSize = devices
 	out.HardwareGenerations = gens

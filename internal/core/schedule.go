@@ -12,17 +12,33 @@ import (
 // Deployment is one scheduled application residency: an application
 // plus its arrival time on a shared wall-clock timeline. The
 // application's Lifetime is its residency duration, so a deployment
-// occupies [Start, Start+Lifetime).
+// occupies [Start, Start+Lifetime). A run (Repeat k > 1) is k
+// back-to-back residencies of the same application from Start, the
+// shape of a uniform scenario, evaluated exactly as k separate
+// deployments would be.
 type Deployment struct {
 	// App is the deployed workload (name, lifetime, volume, size).
 	App Application
 	// Start is the arrival offset from the schedule origin.
 	Start units.Years
+	// Repeat is the run length: how many copies of App run back to
+	// back from Start, each arriving the instant the previous one
+	// retires. 0 and 1 both mean one residency; negative is invalid.
+	Repeat int
 }
 
-// End is the deployment's retirement time.
+// copies is the number of residencies the deployment runs.
+func (d *Deployment) copies() int { return max(1, d.Repeat) }
+
+// End is the deployment's retirement time: that of its last copy,
+// the lifetime added to Start once per copy — the rounding BackToBack
+// gives the same copies placed as separate deployments.
 func (d Deployment) End() units.Years {
-	return units.YearsOf(d.Start.Years() + d.App.Lifetime.Years())
+	at := d.Start.Years()
+	for range d.copies() {
+		at += d.App.Lifetime.Years()
+	}
+	return units.YearsOf(at)
 }
 
 // Validate checks the deployment.
@@ -33,6 +49,9 @@ func (d Deployment) Validate() error { return d.validate() }
 func (d *Deployment) validate() error {
 	if d.Start.Years() < 0 {
 		return fmt.Errorf("core: deployment %q starts at negative time %v", d.App.Name, d.Start)
+	}
+	if d.Repeat < 0 {
+		return fmt.Errorf("core: deployment %q repeats a negative %d times", d.App.Name, d.Repeat)
 	}
 	return d.App.validate()
 }
@@ -118,24 +137,38 @@ func (sch Schedule) Span() units.Years {
 
 // PeakConcurrent is the largest number of simultaneously-resident
 // deployments. Residencies are half-open [start, end): a deployment
-// retiring exactly when another arrives does not overlap it.
+// retiring exactly when another arrives does not overlap it, so the
+// copies of a run never overlap each other.
 func (sch Schedule) PeakConcurrent() int {
 	peak, _, _ := sch.peaks(nil)
 	return peak
 }
 
+// residencies counts the schedule's residencies, every copy of a run
+// counted.
+func (sch *Schedule) residencies() int {
+	var n int
+	for i := range sch.Deployments {
+		n += sch.Deployments[i].copies()
+	}
+	return n
+}
+
 // peaks sweeps the arrival/retirement events once, returning the peak
 // resident-deployment count and, when spec is non-nil, the peak
 // aggregate device demand on it: each deployment needs
-// Volume x spec.Required(SizeGates) devices.
+// Volume x spec.Required(SizeGates) devices. A run contributes the
+// events of each copy, so its demand is retired and re-added at every
+// copy boundary exactly as for separate deployments.
 func (sch Schedule) peaks(spec *device.Spec) (int, float64, error) {
 	type event struct {
 		t     float64
 		start bool
 		d     float64
 	}
-	events := make([]event, 0, 2*len(sch.Deployments))
-	for _, dep := range sch.Deployments {
+	events := make([]event, 0, 2*sch.residencies())
+	for i := range sch.Deployments {
+		dep := &sch.Deployments[i]
 		var dev float64
 		if spec != nil {
 			n, err := spec.Required(dep.App.SizeGates)
@@ -144,9 +177,14 @@ func (sch Schedule) peaks(spec *device.Spec) (int, float64, error) {
 			}
 			dev = dep.App.Volume * float64(n)
 		}
-		events = append(events,
-			event{t: dep.Start.Years(), start: true, d: dev},
-			event{t: dep.End().Years(), start: false, d: dev})
+		at := dep.Start.Years()
+		for range dep.copies() {
+			end := at + dep.App.Lifetime.Years()
+			events = append(events,
+				event{t: at, start: true, d: dev},
+				event{t: end, start: false, d: dev})
+			at = end
+		}
 	}
 	// Retirements sort before arrivals at equal times (half-open
 	// residencies: an end at t frees the fleet for a start at t).
@@ -189,13 +227,13 @@ func Sequential(s Scenario) Schedule {
 }
 
 // BackToBack re-times the deployments in place to run back to back in
-// slice order from t=0: each starts the instant the previous one
-// retires.
+// slice order from t=0: each starts the instant the previous one (the
+// last copy of a run) retires.
 func (sch Schedule) BackToBack() {
-	var at float64
+	var at units.Years
 	for i := range sch.Deployments {
-		sch.Deployments[i].Start = units.YearsOf(at)
-		at += sch.Deployments[i].App.Lifetime.Years()
+		sch.Deployments[i].Start = at
+		at = sch.Deployments[i].End()
 	}
 }
 
@@ -272,15 +310,18 @@ func (c *Compiled) EvaluateSchedule(sch Schedule) (ScheduleAssessment, error) {
 // Compiled.EvaluateSchedule and Prepared.EvaluateTotals: it evaluates
 // the valid schedule on the prepared platform with the scalar terms t
 // into out, which must be the zero Assessment, adding each
-// deployment's contribution to out.Breakdown field by field; perApp
-// selects whether it also records the per-deployment contributions.
-// Only a SizeDedicated schedule allocates beyond PerApp, for its
-// peak-demand sweep.
+// residency's contribution to out.Breakdown field by field; perApp
+// selects whether it also records the per-residency contributions.
+// A run's copy contribution is computed once and added once per copy
+// (traced platforms re-probe each copy's window), so a run totals bit
+// for bit what its copies would as separate deployments. Only a
+// SizeDedicated schedule allocates beyond PerApp, for its peak-demand
+// sweep.
 func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, out *Assessment) error {
 	p := &pp.platform
 	out.Platform, out.Kind, out.HardwareGenerations = p.Spec.Name, p.Spec.Kind, 1
 	if perApp {
-		out.PerApp = make([]AppAssessment, 0, len(sch.Deployments))
+		out.PerApp = make([]AppAssessment, 0, sch.residencies())
 	}
 
 	reusable := p.Spec.Kind.Policy().Reusable
@@ -308,9 +349,8 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, out *Assessme
 		}
 		gens := 1
 		if p.ChipLifetime > 0 {
-			if span := sch.Span().Years(); span > p.ChipLifetime.Years() {
-				gens = int(math.Ceil(span / p.ChipLifetime.Years()))
-			}
+			// Only a capped fleet needs the span.
+			gens = generations(sch.Span(), p.ChipLifetime)
 		}
 		out.FleetSize = fleet
 		out.HardwareGenerations = gens
@@ -326,31 +366,57 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, out *Assessme
 			return err
 		}
 		devices := dep.App.Volume * float64(n)
-		// b receives this deployment's contribution: the totals
-		// directly, or its own PerApp entry, added to the totals below.
-		b := &out.Breakdown
-		if perApp {
-			out.PerApp = append(out.PerApp, AppAssessment{Name: dep.App.Name, DevicesPerUnit: n})
-			b = &out.PerApp[len(out.PerApp)-1].Breakdown
-		}
-		t.addApp(b, &dep.App, devices, sch.StrictEq2, dep.Start.Years())
+		// c is one copy's contribution.
+		var c Breakdown
+		t.addApp(&c, &dep.App, devices, sch.StrictEq2, dep.Start.Years())
+		var copyMade float64
 		if !reusable {
 			// Eq. 1: every deployment pays design + hardware, its
 			// hardware generation count following its own lifetime.
-			gens := 1
-			if p.ChipLifetime > 0 && dep.App.Lifetime > p.ChipLifetime {
-				gens = int(math.Ceil(dep.App.Lifetime.Years() / p.ChipLifetime.Years()))
-			}
-			b.Design += t.design
-			t.addHardware(b, devices*float64(gens))
-			out.DevicesManufactured += devices * float64(gens)
+			copyMade = devices * float64(generations(dep.App.Lifetime, p.ChipLifetime))
+			c.Design += t.design
+			t.addHardware(&c, copyMade)
 			out.FleetSize = math.Max(out.FleetSize, devices)
 		}
-		if perApp {
-			out.Breakdown.add(b)
+		if perApp || t.traced() {
+			// Copy by copy: each gets its own PerApp entry, and a
+			// traced copy is re-priced at its own window for its
+			// operation, the one term that depends on where it sits.
+			at := dep.Start.Years()
+			for j := range dep.copies() {
+				if j > 0 && t.traced() {
+					var w Breakdown
+					t.addApp(&w, &dep.App, devices, sch.StrictEq2, at)
+					c.Operation = w.Operation
+				}
+				if perApp {
+					out.PerApp = append(out.PerApp, AppAssessment{Name: dep.App.Name, DevicesPerUnit: n, Breakdown: c})
+				}
+				out.Breakdown.add(&c)
+				at += dep.App.Lifetime.Years()
+			}
+		} else {
+			out.Breakdown.addTimes(&c, dep.copies())
+		}
+		if !reusable {
+			made := out.DevicesManufactured
+			for range dep.copies() {
+				made += copyMade
+			}
+			out.DevicesManufactured = made
 		}
 	}
 	return nil
+}
+
+// generations is the hardware generation count of hardware in service
+// for span years under a chip-lifetime cap (zero means uncapped): one,
+// or ceil(span/chipLifetime) once the span outlives the chip.
+func generations(span, chipLifetime units.Years) int {
+	if chipLifetime > 0 && span > chipLifetime {
+		return int(math.Ceil(span.Years() / chipLifetime.Years()))
+	}
+	return 1
 }
 
 // ScheduleComparison is the outcome of evaluating every platform of a

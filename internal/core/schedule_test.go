@@ -297,6 +297,9 @@ func TestScheduleValidation(t *testing.T) {
 		{Name: "neg-start", Deployments: []Deployment{
 			{App: Application{Name: "a", Lifetime: units.YearsOf(1), Volume: 1}, Start: units.YearsOf(-1)},
 		}},
+		{Name: "neg-repeat", Deployments: []Deployment{
+			{App: Application{Name: "a", Lifetime: units.YearsOf(1), Volume: 1}, Repeat: -1},
+		}},
 		{Name: "bad-app", Deployments: []Deployment{
 			{App: Application{Name: "a", Lifetime: units.YearsOf(1)}},
 		}},
