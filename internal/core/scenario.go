@@ -163,24 +163,6 @@ func (b *Breakdown) add(o *Breakdown) {
 	b.Configuration += o.Configuration
 }
 
-// addTimes adds o into b k times, field by field: add called k times,
-// bit for bit, with the sums kept in registers rather than in b.
-func (b *Breakdown) addTimes(o *Breakdown, k int) {
-	des, mfg, pkg, eol := b.Design, b.Manufacturing, b.Packaging, b.EOL
-	op, dev, cfg := b.Operation, b.AppDevelopment, b.Configuration
-	for range k {
-		des += o.Design
-		mfg += o.Manufacturing
-		pkg += o.Packaging
-		eol += o.EOL
-		op += o.Operation
-		dev += o.AppDevelopment
-		cfg += o.Configuration
-	}
-	b.Design, b.Manufacturing, b.Packaging, b.EOL = des, mfg, pkg, eol
-	b.Operation, b.AppDevelopment, b.Configuration = op, dev, cfg
-}
-
 // Scale multiplies every component by k.
 func (b Breakdown) Scale(k float64) Breakdown {
 	return Breakdown{

@@ -378,32 +378,24 @@ func (pp *Prepared) evaluate(sch *Schedule, t *terms, perApp bool, out *Assessme
 			t.addHardware(&c, copyMade)
 			out.FleetSize = math.Max(out.FleetSize, devices)
 		}
-		if perApp || t.traced() {
-			// Copy by copy: each gets its own PerApp entry, and a
-			// traced copy is re-priced at its own window for its
-			// operation, the one term that depends on where it sits.
-			at := dep.Start.Years()
-			for j := range dep.copies() {
-				if j > 0 && t.traced() {
-					var w Breakdown
-					t.addApp(&w, &dep.App, devices, sch.StrictEq2, at)
-					c.Operation = w.Operation
-				}
-				if perApp {
-					out.PerApp = append(out.PerApp, AppAssessment{Name: dep.App.Name, DevicesPerUnit: n, Breakdown: c})
-				}
-				out.Breakdown.add(&c)
-				at += dep.App.Lifetime.Years()
+		// Copy by copy: each copy gets its own PerApp entry, and a
+		// traced copy is re-priced at its own window for its operation,
+		// the one term that depends on where it sits.
+		at := dep.Start.Years()
+		for j := range dep.copies() {
+			if j > 0 && t.traced() {
+				var w Breakdown
+				t.addApp(&w, &dep.App, devices, sch.StrictEq2, at)
+				c.Operation = w.Operation
 			}
-		} else {
-			out.Breakdown.addTimes(&c, dep.copies())
-		}
-		if !reusable {
-			made := out.DevicesManufactured
-			for range dep.copies() {
-				made += copyMade
+			if perApp {
+				out.PerApp = append(out.PerApp, AppAssessment{Name: dep.App.Name, DevicesPerUnit: n, Breakdown: c})
 			}
-			out.DevicesManufactured = made
+			out.Breakdown.add(&c)
+			if !reusable {
+				out.DevicesManufactured += copyMade
+			}
+			at += dep.App.Lifetime.Years()
 		}
 	}
 	return nil
