@@ -195,13 +195,13 @@ func BenchmarkSweep2D(b *testing.B) {
 	y := sweep.Axis{Name: "t", Values: sweep.Linspace(0.2, 2.5, 12)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sweep.Run2D(x, y, func(xv, yv float64) (units.Mass, units.Mass, error) {
-			f, err := cs[0].UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0)
-			if err != nil {
-				return 0, 0, err
+		_, err := sweep.Run2D(x, y, len(cs), func(xv, yv float64, totals []units.Mass) (err error) {
+			for k, c := range cs {
+				if totals[k], err = c.UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0); err != nil {
+					return err
+				}
 			}
-			a, err := cs[1].UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0)
-			return f, a, err
+			return nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -225,17 +225,16 @@ func BenchmarkSweep2DUncompiled(b *testing.B) {
 	y := sweep.Axis{Name: "t", Values: sweep.Linspace(0.2, 2.5, 12)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sweep.Run2D(x, y, func(xv, yv float64) (units.Mass, units.Mass, error) {
+		_, err := sweep.Run2D(x, y, 2, func(xv, yv float64, totals []units.Mass) error {
 			s := core.Uniform("g", int(xv+0.5), units.YearsOf(yv), 1e6, 0)
-			f, err := core.Evaluate(set[0], s)
-			if err != nil {
-				return 0, 0, err
+			for k := range totals {
+				a, err := core.Evaluate(set[k], s)
+				if err != nil {
+					return err
+				}
+				totals[k] = a.Total()
 			}
-			a, err := core.Evaluate(set[1], s)
-			if err != nil {
-				return 0, 0, err
-			}
-			return f.Total(), a.Total(), nil
+			return nil
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -86,13 +86,14 @@ func run(w io.Writer) error {
 		DesignEngineers: 666, DesignDuration: greenfpga.Years(2),
 		ChipLifetime: greenfpga.Years(15),
 	}
-	lc, err := greenfpga.RunLifecycle(greenfpga.LifecycleConfig{
-		Platform:    p,
-		AppLifetime: greenfpga.Years(appYears),
-		Horizon:     greenfpga.Years(appYears * generation),
-		Volume:      fleetSize,
-		Samples:     8,
-	})
+	c, err := greenfpga.Compile(p)
+	if err != nil {
+		return err
+	}
+	lc, err := c.Cumulative(greenfpga.Schedule{Name: "fleet", Deployments: []greenfpga.Deployment{{
+		App:    greenfpga.Application{Name: "fleet", Lifetime: greenfpga.Years(appYears), Volume: fleetSize},
+		Repeat: generation,
+	}}}, 8)
 	if err != nil {
 		return err
 	}

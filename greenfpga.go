@@ -41,7 +41,6 @@ import (
 	"greenfpga/internal/experiments"
 	"greenfpga/internal/grid"
 	"greenfpga/internal/isoperf"
-	"greenfpga/internal/lifecycle"
 	"greenfpga/internal/montecarlo"
 	"greenfpga/internal/planner"
 	"greenfpga/internal/technode"
@@ -118,10 +117,6 @@ type (
 	TechNode = technode.Node
 	// GridMix is a blend of energy sources.
 	GridMix = grid.Mix
-	// LifecycleConfig drives a cumulative-CFP timeline simulation.
-	LifecycleConfig = lifecycle.Config
-	// LifecycleResult is a timeline simulation output.
-	LifecycleResult = lifecycle.Result
 	// ScenarioConfig is the JSON scenario document of the CLI.
 	ScenarioConfig = config.Scenario
 	// ExperimentOutput is one regenerated paper table or figure.
@@ -277,10 +272,6 @@ func NodeByName(name string) (TechNode, error) { return technode.ByName(name) }
 
 // GridByRegion returns a preset regional energy mix.
 func GridByRegion(region string) (GridMix, error) { return grid.ByRegion(grid.Region(region)) }
-
-// RunLifecycle simulates cumulative CFP over wall-clock time (the
-// paper's Fig. 9 setting).
-func RunLifecycle(cfg LifecycleConfig) (LifecycleResult, error) { return lifecycle.Run(cfg) }
 
 // Experiments lists the registered paper-reproduction experiments.
 func Experiments() []string { return experiments.List() }

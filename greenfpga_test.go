@@ -99,15 +99,16 @@ func TestFacadeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := greenfpga.RunLifecycle(greenfpga.LifecycleConfig{
-		Platform: greenfpga.Platform{
-			Spec: spec, DutyCycle: 0.3, ChipLifetime: greenfpga.Years(15),
-		},
-		AppLifetime: greenfpga.Years(1),
-		Horizon:     greenfpga.Years(30),
-		Volume:      1000,
-		Samples:     30,
+	c, err := greenfpga.Compile(greenfpga.Platform{
+		Spec: spec, DutyCycle: 0.3, ChipLifetime: greenfpga.Years(15),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Cumulative(greenfpga.Schedule{Name: "life", Deployments: []greenfpga.Deployment{{
+		App:    greenfpga.Application{Name: "life", Lifetime: greenfpga.Years(1), Volume: 1000},
+		Repeat: 30,
+	}}}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,11 +161,6 @@ func (p *Platform) operation() deploy.OperationProfile {
 	}
 }
 
-// AnnualOperationCarbon is C_op for one device over one year.
-func (p Platform) AnnualOperationCarbon() (units.Mass, error) {
-	return p.operation().AnnualCarbon()
-}
-
 // AppDevProfile resolves the application-development profile for the
 // platform's device kind (Eq. 7 inputs).
 func (p Platform) AppDevProfile() deploy.AppDev {

@@ -57,7 +57,8 @@ func randomRuns(r *rand.Rand, layout, n int) Schedule {
 // fleet sizings, through EvaluateSchedule and EvaluateTotals, and
 // requires the same assessments bit for bit: totals and breakdown,
 // FleetSize, DevicesManufactured, HardwareGenerations, Span,
-// PeakConcurrent, PeakDemand and the per-residency entries.
+// PeakConcurrent, PeakDemand and the per-residency entries. The run's
+// cumulative curve must also end at its total (checkCurve).
 func checkRunExpansion(t *testing.T, p Platform, sch Schedule) bool {
 	t.Helper()
 	c, err := Compile(p)
@@ -83,6 +84,7 @@ func checkRunExpansion(t *testing.T, p Platform, sch Schedule) bool {
 		if err != nil {
 			t.Fatalf("%s: EvaluateSchedule of the expansion: %v", sizing, err)
 		}
+		checkCurve(t, c, sch, got)
 		if !reflect.DeepEqual(got, want) || math.Float64bits(float64(got.Total())) != math.Float64bits(float64(want.Total())) {
 			t.Errorf("%s %s: run diverges from its expansion:\nrun       %+v\nexpansion %+v", sizing, p.Spec.Name, got, want)
 			return false

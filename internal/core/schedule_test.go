@@ -385,7 +385,8 @@ func overlapping(sch Schedule) bool {
 
 // checkScheduleInvariants evaluates sch on p under both fleet sizings
 // and checks that every total is finite, that the prepared-draw path at
-// p's own knobs is EvaluateSchedule with PerApp cleared, and that a
+// p's own knobs is EvaluateSchedule with PerApp cleared, that the
+// cumulative curve ends at the total (see checkCurve), and that a
 // dedicated fleet costs at least as much as a shared one — exactly as
 // much when no deployments overlap. It returns both totals.
 func checkScheduleInvariants(t *testing.T, p Platform, sch Schedule) (shared, dedicated units.Mass) {
@@ -413,6 +414,7 @@ func checkScheduleInvariants(t *testing.T, p Platform, sch Schedule) (shared, de
 				t.Fatalf("%s: non-finite assessment %+v", sizing, got)
 			}
 		}
+		checkCurve(t, c, sch, got)
 		want := got.Assessment
 		want.PerApp = nil
 		totalsOnly, err := pp.EvaluateTotals(pp.Knobs(), sch)
@@ -431,6 +433,27 @@ func checkScheduleInvariants(t *testing.T, p Platform, sch Schedule) (shared, de
 		t.Fatalf("no deployments overlap, yet dedicated %v differs from shared %v", totals[1], totals[0])
 	}
 	return totals[0], totals[1]
+}
+
+// checkCurve builds sch's cumulative curve on c and requires its last
+// point to be the assessment's total, within 1e-12 of the breakdown's
+// absolute component sum: every event lands and every residency's
+// operation accrues by the last retirement.
+func checkCurve(t *testing.T, c *Compiled, sch Schedule, a ScheduleAssessment) {
+	t.Helper()
+	cc, err := c.Cumulative(sch, 16)
+	if err != nil {
+		t.Fatalf("%s: Cumulative: %v", sch.Sizing, err)
+	}
+	b := a.Breakdown
+	var scale float64
+	for _, x := range []units.Mass{b.Design, b.Manufacturing, b.Packaging, b.EOL, b.Operation, b.AppDevelopment, b.Configuration} {
+		scale += math.Abs(float64(x))
+	}
+	if d := math.Abs(float64(cc.Total() - a.Total())); d > 1e-12*scale {
+		t.Fatalf("%s %s: curve ends at %v, assessment total %v (|diff| %g of %g)",
+			sch.Sizing, c.Platform().Spec.Name, cc.Total(), a.Total(), d, scale)
+	}
 }
 
 // TestQuickScheduleProperties checks the shape of Eqs. 1-2 over random

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"greenfpga/internal/core"
+	"greenfpga/internal/units"
 )
 
 func TestListOrderAndCoverage(t *testing.T) {
@@ -168,6 +172,60 @@ func TestFig9RebuyNotes(t *testing.T) {
 	joined := strings.Join(o.Notes, "\n")
 	if !strings.Contains(joined, "15y, 30y") {
 		t.Errorf("fig9 notes missing rebuy schedule: %v", o.Notes)
+	}
+}
+
+func TestCrossoverTimes(t *testing.T) {
+	mk := func(vals ...float64) []core.Point {
+		pts := make([]core.Point, len(vals))
+		for i, v := range vals {
+			pts[i] = core.Point{Time: units.YearsOf(float64(i)), Cumulative: units.Kilograms(v)}
+		}
+		return pts
+	}
+	// a starts below b, crosses between t=1 and t=2, crosses back
+	// between t=3 and t=4.
+	a := mk(0, 1, 3, 5, 5)
+	b := mk(1, 2, 2, 4, 6)
+	xs, err := crossoverTimes(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(xs) != 2 {
+		t.Fatalf("crossings: %v", xs)
+	}
+	if math.Abs(xs[0].Years()-1.5) > 1e-9 || math.Abs(xs[1].Years()-3.5) > 1e-9 {
+		t.Errorf("crossing times: %v", xs)
+	}
+	// Touching at a sample counts once.
+	c := mk(0, 2, 4)
+	d := mk(1, 2, 3)
+	xs, err = crossoverTimes(c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(xs) != 1 || xs[0].Years() != 1 {
+		t.Errorf("touch crossing: %v", xs)
+	}
+	// Identical curves: no crossings.
+	xs, err = crossoverTimes(c, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(xs) != 0 {
+		t.Errorf("identical curves crossed: %v", xs)
+	}
+	// Errors.
+	if _, err := crossoverTimes(a, mk(1, 2)); err == nil {
+		t.Error("length mismatch must error")
+	}
+	if _, err := crossoverTimes(mk(1), mk(1)); err == nil {
+		t.Error("single sample must error")
+	}
+	shifted := mk(1, 2, 3)
+	shifted[1].Time = units.YearsOf(9)
+	if _, err := crossoverTimes(mk(1, 2, 3), shifted); err == nil {
+		t.Error("misaligned times must error")
 	}
 }
 

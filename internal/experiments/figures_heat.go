@@ -21,13 +21,14 @@ func fig8() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval := func(n int, tYears, volume float64) (units.Mass, units.Mass, error) {
-		f, err := cs[0].UniformTotal(n, units.YearsOf(tYears), volume, 0)
-		if err != nil {
-			return 0, 0, err
+	// eval fills the FPGA and ASIC totals of one uniform scenario.
+	eval := func(n int, tYears, volume float64, totals []units.Mass) (err error) {
+		for k := range totals {
+			if totals[k], err = cs[k].UniformTotal(n, units.YearsOf(tYears), volume, 0); err != nil {
+				return err
+			}
 		}
-		a, err := cs[1].UniformTotal(n, units.YearsOf(tYears), volume, 0)
-		return f, a, err
+		return nil
 	}
 
 	nAxis := sweep.Axis{Name: "Num Apps", Values: sweep.IntRange(1, 10)}
@@ -38,29 +39,29 @@ func fig8() (*Output, error) {
 		name     string
 		constant string
 		x, y     sweep.Axis
-		run      func(x, y float64) (units.Mass, units.Mass, error)
+		run      sweep.SetEval2D
 	}
 	ref := isoperf.ReferenceLifetime().Years()
 	panels := []panel{
 		{
 			name: "(a) N_app x T_i", constant: "N_vol = 1e6",
 			x: nAxis, y: tAxis,
-			run: func(x, y float64) (units.Mass, units.Mass, error) {
-				return eval(int(x+0.5), y, isoperf.ReferenceVolume)
+			run: func(x, y float64, totals []units.Mass) error {
+				return eval(int(x+0.5), y, isoperf.ReferenceVolume, totals)
 			},
 		},
 		{
 			name: "(b) N_vol x T_i", constant: "N_app = 5",
 			x: vAxis, y: tAxis,
-			run: func(x, y float64) (units.Mass, units.Mass, error) {
-				return eval(isoperf.ReferenceNumApps, y, x)
+			run: func(x, y float64, totals []units.Mass) error {
+				return eval(isoperf.ReferenceNumApps, y, x, totals)
 			},
 		},
 		{
 			name: "(c) N_vol x N_app", constant: "T_i = 2y",
 			x: vAxis, y: nAxis,
-			run: func(x, y float64) (units.Mass, units.Mass, error) {
-				return eval(int(y+0.5), ref, x)
+			run: func(x, y float64, totals []units.Mass) error {
+				return eval(int(y+0.5), ref, x, totals)
 			},
 		},
 	}
@@ -70,7 +71,7 @@ func fig8() (*Output, error) {
 		Title: "Pairwise sweeps of the DNN FPGA:ASIC CFP ratio (paper Fig. 8)",
 	}
 	for _, p := range panels {
-		g, err := sweep.Run2D(p.x, p.y, p.run)
+		g, err := sweep.Run2D(p.x, p.y, 2, p.run)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"greenfpga/internal/core"
 	"greenfpga/internal/isoperf"
-	"greenfpga/internal/lifecycle"
 	"greenfpga/internal/report"
 	"greenfpga/internal/units"
 )
@@ -15,11 +15,13 @@ func init() {
 }
 
 // Fig. 9 settings: 15-year chip lifetime, one-year applications, and a
-// 45-year horizon that forces two FPGA fleet rebuys.
+// 45-year horizon that forces two FPGA fleet rebuys, sampled four times
+// a year so every whole-year checkpoint is a sample.
 const (
 	fig9ChipLifetimeYears = 15
 	fig9AppLifetimeYears  = 1
 	fig9HorizonYears      = 45
+	fig9Samples           = 4 * fig9HorizonYears
 )
 
 // fig9 reproduces Fig. 9: cumulative CFP over wall-clock time with a
@@ -41,30 +43,28 @@ func fig9() (*Output, error) {
 		fpga := set[0]
 		fpga.ChipLifetime = units.YearsOf(fig9ChipLifetimeYears)
 
-		fRes, err := lifecycle.Run(lifecycle.Config{
-			Platform:    fpga,
-			AppLifetime: units.YearsOf(fig9AppLifetimeYears),
-			Horizon:     units.YearsOf(fig9HorizonYears),
-			Volume:      isoperf.ReferenceVolume,
-			Samples:     180,
-		})
-		if err != nil {
-			return nil, err
-		}
-		aRes, err := lifecycle.Run(lifecycle.Config{
-			Platform:    set[1],
-			AppLifetime: units.YearsOf(fig9AppLifetimeYears),
-			Horizon:     units.YearsOf(fig9HorizonYears),
-			Volume:      isoperf.ReferenceVolume,
-			Samples:     180,
-		})
-		if err != nil {
-			return nil, err
-		}
+		sch := core.Schedule{Name: "fig9", Deployments: []core.Deployment{{
+			App: core.Application{
+				Name:     "fig9",
+				Lifetime: units.YearsOf(fig9AppLifetimeYears),
+				Volume:   isoperf.ReferenceVolume,
+			},
+			Repeat: fig9HorizonYears / fig9AppLifetimeYears,
+		}}}
 		runs := []struct {
 			name string
-			res  lifecycle.Result
-		}{{"FPGA", fRes}, {"ASIC", aRes}}
+			p    core.Platform
+			res  core.CumulativeCurve
+		}{{name: "FPGA", p: fpga}, {name: "ASIC", p: set[1]}}
+		for i := range runs {
+			c, err := core.Compile(runs[i].p)
+			if err != nil {
+				return nil, err
+			}
+			if runs[i].res, err = c.Cumulative(sch, fig9Samples); err != nil {
+				return nil, err
+			}
+		}
 
 		var series []report.Series
 		for _, r := range runs {
@@ -75,9 +75,8 @@ func fig9() (*Output, error) {
 				ys[i] = p.Cumulative.Kilotonnes()
 			}
 			series = append(series, report.Series{Name: r.name, X: xs, Y: ys})
-			summary.AddRow(d.Name, r.name,
-				kt(curveAt(r.res, 10)), kt(curveAt(r.res, 20)),
-				kt(curveAt(r.res, 35)), kt(curveAt(r.res, 45)))
+			at := func(years int) string { return kt(r.res.Curve[years*fig9Samples/fig9HorizonYears].Cumulative) }
+			summary.AddRow(d.Name, r.name, at(10), at(20), at(35), at(45))
 		}
 		var sb strings.Builder
 		err = report.LineChart(&sb, report.ChartOptions{
@@ -93,12 +92,12 @@ func fig9() (*Output, error) {
 		// observes ImgProc alternating between A2F and F2A as the
 		// rebuys land.
 		var jumps []string
-		for _, e := range fRes.Events {
-			if e.Kind == lifecycle.EventHardware && e.Time > 0 {
+		for _, e := range runs[0].res.Events {
+			if e.Kind == core.EventHardware && e.Time > 0 {
 				jumps = append(jumps, fmt.Sprintf("%gy", e.Time.Years()))
 			}
 		}
-		crossings, err := lifecycle.CrossoverTimes(fRes.Curve, aRes.Curve)
+		crossings, err := crossoverTimes(runs[0].res.Curve, runs[1].res.Curve)
 		if err != nil {
 			return nil, err
 		}
@@ -118,24 +117,43 @@ func fig9() (*Output, error) {
 	return out, nil
 }
 
-// curveAt samples a lifecycle curve at the point nearest t.
-func curveAt(r lifecycle.Result, t float64) units.Mass {
-	if len(r.Curve) == 0 {
-		return 0
+// crossoverTimes locates the times where two cumulative curves cross —
+// the paper's experiment E observes the ImgProc domain gaining multiple
+// A2F and F2A points as FPGA fleet rebuys land. Both curves must share
+// their sample times; crossings are linearly interpolated between
+// samples, and a crossing exactly on a sample is reported once.
+func crossoverTimes(a, b []core.Point) ([]units.Years, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("fig9: curves have %d and %d samples", len(a), len(b))
 	}
-	best := r.Curve[0]
-	for _, p := range r.Curve {
-		if abs(p.Time.Years()-t) < abs(best.Time.Years()-t) {
-			best = p
+	if len(a) < 2 {
+		return nil, fmt.Errorf("fig9: need at least two samples, got %d", len(a))
+	}
+	for i := range a {
+		if a[i].Time != b[i].Time {
+			return nil, fmt.Errorf("fig9: sample %d times differ (%v vs %v)",
+				i, a[i].Time, b[i].Time)
 		}
 	}
-	return best.Cumulative
-}
-
-// abs avoids importing math for one call.
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+	var out []units.Years
+	for i := 1; i < len(a); i++ {
+		d0 := a[i-1].Cumulative.Kilograms() - b[i-1].Cumulative.Kilograms()
+		d1 := a[i].Cumulative.Kilograms() - b[i].Cumulative.Kilograms()
+		switch {
+		case d0 == 0 && d1 == 0:
+			// Identical over the span; not a crossing.
+		case d1 == 0:
+			// Lands exactly on the next sample; the next iteration's
+			// d0 == 0 avoids double counting.
+			out = append(out, a[i].Time)
+		case d0 == 0:
+			// Counted by the previous iteration (or the curves started
+			// equal, which is not a crossing).
+		case (d0 > 0) != (d1 > 0):
+			t := d0 / (d0 - d1)
+			t0, t1 := a[i-1].Time.Years(), a[i].Time.Years()
+			out = append(out, units.YearsOf(t0+t*(t1-t0)))
+		}
 	}
-	return x
+	return out, nil
 }

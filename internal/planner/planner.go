@@ -181,31 +181,32 @@ type assignment struct {
 	total float64
 }
 
-// newCostTable evaluates the per-application building blocks.
+// newCostTable compiles both platforms once and evaluates the
+// per-application building blocks on them.
 func newCostTable(in Inputs) (*costTable, error) {
-	t := &costTable{chipLifetime: in.FPGA.ChipLifetime.Years()}
-
-	fdc, err := in.FPGA.DeviceCost()
+	fpga, err := core.Compile(in.FPGA)
 	if err != nil {
 		return nil, err
 	}
-	t.perDevice = fdc.Total().Kilograms()
-	fdes, err := in.FPGA.DesignCFP()
+	asic, err := core.Compile(in.ASIC)
 	if err != nil {
 		return nil, err
 	}
-	t.designOnce = fdes.Kilograms()
-
+	t := &costTable{
+		chipLifetime: in.FPGA.ChipLifetime.Years(),
+		perDevice:    fpga.DeviceCost().Total().Kilograms(),
+		designOnce:   fpga.DesignCFP().Kilograms(),
+	}
 	for _, app := range in.Apps {
 		single := core.Scenario{Name: app.Name, Apps: []core.Application{app}, StrictEq2: in.StrictEq2}
 
-		asicRes, err := core.Evaluate(in.ASIC, single)
+		asicRes, err := asic.Evaluate(single)
 		if err != nil {
 			return nil, err
 		}
 		t.asic = append(t.asic, asicRes.Total().Kilograms())
 
-		fpgaRes, err := core.Evaluate(in.FPGA, single)
+		fpgaRes, err := fpga.Evaluate(single)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -222,4 +223,86 @@ func TestQuickExactIsOptimal(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickScoresMatchLoop pins the precomputed cost table to the one
+// Eq. 1/Eq. 2 loop: for random portfolios of 1 to 8 applications, half
+// on a capped FPGA, every score the plan reports (Total, AllFPGA,
+// AllASIC) equals its FPGA subset evaluated as one Sequential schedule
+// plus each ASIC application evaluated alone, within 1e-12 relative.
+func TestQuickScoresMatchLoop(t *testing.T) {
+	fpga, asic := pair(t)
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		in := Inputs{FPGA: fpga, ASIC: asic, StrictEq2: r.Intn(4) == 0}
+		if r.Intn(2) == 0 {
+			in.FPGA.ChipLifetime = units.YearsOf(0.5 + 5*r.Float64())
+		}
+		for i := range 1 + r.Intn(8) {
+			a := app(fmt.Sprintf("q%d", i), 0.25+3*r.Float64(), math.Pow(10, 2+5*r.Float64()))
+			if r.Intn(3) == 0 {
+				a.SizeGates = 3e9 * r.Float64()
+			}
+			in.Apps = append(in.Apps, a)
+		}
+		plan, err := Optimize(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var best uint64
+		for i, a := range plan.Assignments {
+			if a.Platform == device.FPGA {
+				best |= 1 << i
+			}
+		}
+		full := uint64(1)<<len(in.Apps) - 1
+		for _, m := range []struct {
+			name  string
+			mask  uint64
+			score units.Mass
+		}{{"Total", best, plan.Total}, {"AllFPGA", full, plan.AllFPGA}, {"AllASIC", 0, plan.AllASIC}} {
+			want := loopScore(t, in, m.mask)
+			if math.Abs(float64(m.score-want)) > 1e-12*math.Abs(float64(want)) {
+				t.Errorf("seed %d: %s (mask %b) scores %v, the loop %v", seed, m.name, m.mask, m.score, want)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(24))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// loopScore evaluates an assignment mask through the core loop: the
+// FPGA applications as one back-to-back schedule on the shared fleet,
+// each ASIC application alone.
+func loopScore(t *testing.T, in Inputs, mask uint64) units.Mass {
+	t.Helper()
+	var total units.Mass
+	fleet := core.Scenario{Name: "fleet", StrictEq2: in.StrictEq2}
+	for i, a := range in.Apps {
+		if mask&(1<<i) != 0 {
+			fleet.Apps = append(fleet.Apps, a)
+			continue
+		}
+		res, err := core.Evaluate(in.ASIC, core.Scenario{Name: a.Name, Apps: []core.Application{a}, StrictEq2: in.StrictEq2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.Total()
+	}
+	if len(fleet.Apps) > 0 {
+		c, err := core.Compile(in.FPGA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.EvaluateSchedule(core.Sequential(fleet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.Total()
+	}
+	return total
 }

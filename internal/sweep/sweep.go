@@ -137,25 +137,30 @@ func RunRangeN(axis Axis, n, lo, hi int, eval SetEval) ([]PointN, error) {
 	return pts, nil
 }
 
-// PairEval2D evaluates both platforms at one grid cell.
-type PairEval2D func(x, y float64) (fpga, asic units.Mass, err error)
+// SetEval2D evaluates an N-platform set at one grid cell, filling one
+// total per platform in set order, as SetEval does on one axis.
+type SetEval2D func(x, y float64, totals []units.Mass) error
 
-// Grid is a 2-D sweep result: Ratio[yi][xi] is the FPGA:ASIC total CFP
-// ratio at (XAxis.Values[xi], YAxis.Values[yi]).
+// Grid is a 2-D sweep result: Ratio[yi][xi] is the ratio of the first
+// two set members' total CFP (FPGA:ASIC for the paper's pair) at
+// (XAxis.Values[xi], YAxis.Values[yi]).
 type Grid struct {
 	// XAxis and YAxis are the swept parameters.
 	XAxis, YAxis Axis
-	// Ratio holds FPGA:ASIC per cell.
+	// Ratio holds Totals[0]:Totals[1] per cell.
 	Ratio [][]float64
 }
 
-// Run2D evaluates the grid in parallel.
-func Run2D(x, y Axis, eval PairEval2D) (*Grid, error) {
+// Run2D evaluates the grid for an n-platform set (n >= 2) in parallel.
+func Run2D(x, y Axis, n int, eval SetEval2D) (*Grid, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
 	}
 	if err := y.Validate(); err != nil {
 		return nil, err
+	}
+	if n < 2 {
+		return nil, fmt.Errorf("sweep: a ratio grid needs at least two platforms, got %d", n)
 	}
 	if eval == nil {
 		return nil, fmt.Errorf("sweep: nil evaluator")
@@ -165,13 +170,15 @@ func Run2D(x, y Axis, eval PairEval2D) (*Grid, error) {
 	for yi := range y.Values {
 		g.Ratio[yi] = make([]float64, len(x.Values))
 	}
-	err := runPool(len(x.Values)*len(y.Values), func(i int) error {
+	cells := len(x.Values) * len(y.Values)
+	totals := make([]units.Mass, n*cells)
+	err := runPool(cells, func(i int) error {
 		xi, yi := i%len(x.Values), i/len(x.Values)
-		f, a, err := eval(x.Values[xi], y.Values[yi])
-		if err != nil {
+		t := totals[i*n : (i+1)*n : (i+1)*n]
+		if err := eval(x.Values[xi], y.Values[yi], t); err != nil {
 			return err
 		}
-		g.Ratio[yi][xi] = ratio(f, a)
+		g.Ratio[yi][xi] = ratio(t[0], t[1])
 		return nil
 	})
 	if err != nil {
