@@ -195,7 +195,7 @@ func BenchmarkSweep2D(b *testing.B) {
 	y := sweep.Axis{Name: "t", Values: sweep.Linspace(0.2, 2.5, 12)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sweep.Run2D(x, y, len(cs), func(xv, yv float64, totals []units.Mass) (err error) {
+		_, err := sweep.Run2D(x, y, func(xv, yv float64, totals []units.Mass) (err error) {
 			for k, c := range cs {
 				if totals[k], err = c.UniformTotal(int(xv+0.5), units.YearsOf(yv), 1e6, 0); err != nil {
 					return err
@@ -225,7 +225,7 @@ func BenchmarkSweep2DUncompiled(b *testing.B) {
 	y := sweep.Axis{Name: "t", Values: sweep.Linspace(0.2, 2.5, 12)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sweep.Run2D(x, y, 2, func(xv, yv float64, totals []units.Mass) error {
+		_, err := sweep.Run2D(x, y, func(xv, yv float64, totals []units.Mass) error {
 			s := core.Uniform("g", int(xv+0.5), units.YearsOf(yv), 1e6, 0)
 			for k := range totals {
 				a, err := core.Evaluate(set[k], s)

@@ -63,9 +63,6 @@ func (c *Compiled) DeviceCost() DeviceCost { return c.deviceCost }
 // DesignCFP returns the cached design-phase CFP (Eq. 4).
 func (c *Compiled) DesignCFP() units.Mass { return c.design }
 
-// AnnualOperationCarbon returns the cached C_op for one device-year.
-func (c *Compiled) AnnualOperationCarbon() units.Mass { return c.opAnnual }
-
 // Evaluate computes the total CFP of running the scenario on the
 // compiled platform, selecting Eq. 1 or Eq. 2 by the device kind's
 // reuse policy (Eq. 1 for per-application embodied carbon, Eq. 2 for

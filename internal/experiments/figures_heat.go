@@ -71,7 +71,7 @@ func fig8() (*Output, error) {
 		Title: "Pairwise sweeps of the DNN FPGA:ASIC CFP ratio (paper Fig. 8)",
 	}
 	for _, p := range panels {
-		g, err := sweep.Run2D(p.x, p.y, 2, p.run)
+		g, err := sweep.Run2D(p.x, p.y, p.run)
 		if err != nil {
 			return nil, err
 		}

@@ -137,8 +137,9 @@ func RunRangeN(axis Axis, n, lo, hi int, eval SetEval) ([]PointN, error) {
 	return pts, nil
 }
 
-// SetEval2D evaluates an N-platform set at one grid cell, filling one
-// total per platform in set order, as SetEval does on one axis.
+// SetEval2D evaluates the first two members of a platform set at one
+// grid cell, filling totals[0] and totals[1] in set order, as SetEval
+// does on one axis.
 type SetEval2D func(x, y float64, totals []units.Mass) error
 
 // Grid is a 2-D sweep result: Ratio[yi][xi] is the ratio of the first
@@ -151,16 +152,13 @@ type Grid struct {
 	Ratio [][]float64
 }
 
-// Run2D evaluates the grid for an n-platform set (n >= 2) in parallel.
-func Run2D(x, y Axis, n int, eval SetEval2D) (*Grid, error) {
+// Run2D evaluates the grid in parallel.
+func Run2D(x, y Axis, eval SetEval2D) (*Grid, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
 	}
 	if err := y.Validate(); err != nil {
 		return nil, err
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("sweep: a ratio grid needs at least two platforms, got %d", n)
 	}
 	if eval == nil {
 		return nil, fmt.Errorf("sweep: nil evaluator")
@@ -171,10 +169,10 @@ func Run2D(x, y Axis, n int, eval SetEval2D) (*Grid, error) {
 		g.Ratio[yi] = make([]float64, len(x.Values))
 	}
 	cells := len(x.Values) * len(y.Values)
-	totals := make([]units.Mass, n*cells)
+	totals := make([]units.Mass, 2*cells)
 	err := runPool(cells, func(i int) error {
 		xi, yi := i%len(x.Values), i/len(x.Values)
-		t := totals[i*n : (i+1)*n : (i+1)*n]
+		t := totals[2*i : 2*i+2 : 2*i+2]
 		if err := eval(x.Values[xi], y.Values[yi], t); err != nil {
 			return err
 		}

@@ -115,8 +115,8 @@ func TestRun1DErrors(t *testing.T) {
 func TestRun2D(t *testing.T) {
 	x := Axis{Name: "x", Values: Linspace(1, 4, 4)}
 	y := Axis{Name: "y", Values: Linspace(1, 3, 3)}
-	g, err := Run2D(x, y, 3, func(xv, yv float64, totals []units.Mass) error {
-		totals[0], totals[1], totals[2] = units.Kilograms(xv*yv), units.Kilograms(2), units.Kilograms(5)
+	g, err := Run2D(x, y, func(xv, yv float64, totals []units.Mass) error {
+		totals[0], totals[1] = units.Kilograms(xv*yv), units.Kilograms(2)
 		return nil
 	})
 	if err != nil {
@@ -133,21 +133,18 @@ func TestRun2D(t *testing.T) {
 func TestRun2DErrors(t *testing.T) {
 	okAxis := Axis{Name: "x", Values: []float64{1}}
 	ok := func(x, y float64, totals []units.Mass) error { totals[0], totals[1] = 1, 1; return nil }
-	if _, err := Run2D(Axis{Name: "bad"}, okAxis, 2, ok); err == nil {
+	if _, err := Run2D(Axis{Name: "bad"}, okAxis, ok); err == nil {
 		t.Error("bad x axis must error")
 	}
-	if _, err := Run2D(okAxis, Axis{Name: "bad"}, 2, ok); err == nil {
+	if _, err := Run2D(okAxis, Axis{Name: "bad"}, ok); err == nil {
 		t.Error("bad y axis must error")
 	}
-	if _, err := Run2D(okAxis, okAxis, 1, ok); err == nil {
-		t.Error("a one-platform grid must error")
-	}
-	if _, err := Run2D(okAxis, okAxis, 2, nil); err == nil {
+	if _, err := Run2D(okAxis, okAxis, nil); err == nil {
 		t.Error("nil evaluator must error")
 	}
 	boom := errors.New("boom")
 	_, err := Run2D(Axis{Name: "x", Values: Linspace(0, 1, 4)},
-		Axis{Name: "y", Values: Linspace(0, 1, 4)}, 2,
+		Axis{Name: "y", Values: Linspace(0, 1, 4)},
 		func(x, y float64, totals []units.Mass) error {
 			if x > 0.5 && y > 0.5 {
 				return boom
@@ -164,7 +161,7 @@ func TestContour(t *testing.T) {
 	// ratio(x, y) = x/y: the level-1 contour is the diagonal x = y.
 	x := Axis{Name: "x", Values: Linspace(0.5, 4.5, 9)}
 	y := Axis{Name: "y", Values: Linspace(0.5, 4.5, 9)}
-	g, err := Run2D(x, y, 2, func(xv, yv float64, totals []units.Mass) error {
+	g, err := Run2D(x, y, func(xv, yv float64, totals []units.Mass) error {
 		totals[0], totals[1] = units.Kilograms(xv), units.Kilograms(yv)
 		return nil
 	})
@@ -181,7 +178,7 @@ func TestContour(t *testing.T) {
 		}
 	}
 	// A constant grid has no contour.
-	flat, _ := Run2D(x, y, 2, func(_, _ float64, totals []units.Mass) error {
+	flat, _ := Run2D(x, y, func(_, _ float64, totals []units.Mass) error {
 		totals[0], totals[1] = units.Kilograms(3), units.Kilograms(1)
 		return nil
 	})
@@ -215,7 +212,7 @@ func TestRunPoolCoversEveryCell(t *testing.T) {
 	var calls atomic.Int64
 	x := Axis{Name: "x", Values: Linspace(0, 1, nx)}
 	y := Axis{Name: "y", Values: Linspace(0, 1, ny)}
-	g, err := Run2D(x, y, 2, func(xv, yv float64, totals []units.Mass) error {
+	g, err := Run2D(x, y, func(xv, yv float64, totals []units.Mass) error {
 		calls.Add(1)
 		totals[0], totals[1] = units.Kilograms(xv+2*yv+1), units.Kilograms(1)
 		return nil
