@@ -97,13 +97,23 @@ func (c *LRU) shardFor(key string) *shard {
 
 // Get returns the value under key and marks it most recently used
 // within its shard.
-func (c *LRU) Get(key string) (any, bool) {
+func (c *LRU) Get(key string) (any, bool) { return c.get(key, true) }
+
+// Probe is Get for a lookup whose miss is not the last word: a hit is
+// counted and refreshed as by Get, while a miss is left uncounted for
+// the caller's fallback path, whose own Get counts the lookup once.
+func (c *LRU) Probe(key string) (any, bool) { return c.get(key, false) }
+
+// get looks key up, counting the hit or (with countMiss) the miss.
+func (c *LRU) get(key string, countMiss bool) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if !ok {
 		s.mu.Unlock()
-		c.misses.Add(1)
+		if countMiss {
+			c.misses.Add(1)
+		}
 		return nil, false
 	}
 	s.ll.MoveToFront(el)

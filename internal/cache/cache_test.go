@@ -54,6 +54,30 @@ func TestLRUStats(t *testing.T) {
 	}
 }
 
+// TestLRUProbeCountsHitsOnly checks Probe counts and refreshes a hit
+// like Get but leaves a miss uncounted.
+func TestLRUProbeCountsHitsOnly(t *testing.T) {
+	c := New(2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Probe("a"); !ok || v != 1 {
+		t.Fatalf("Probe(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Probe("missing"); ok {
+		t.Fatal("Probe(missing) hit")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 0 {
+		t.Errorf("stats %d/%d, want 1/0", hits, misses)
+	}
+	c.Put("c", 3) // a was refreshed by the probe, so b is the oldest
+	if _, ok := c.Probe("b"); ok {
+		t.Error("b should have been evicted")
+	}
+	if _, ok := c.Probe("a"); !ok {
+		t.Error("a should have survived its probe")
+	}
+}
+
 func TestLRUMinimumCapacity(t *testing.T) {
 	c := New(0) // clamped to 1
 	c.Put("a", 1)

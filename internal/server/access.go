@@ -42,6 +42,10 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap exposes the wire writer to http.ResponseController, which the
+// hit lane uses to bound its body read.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 // Write implements http.ResponseWriter.
 func (sw *statusWriter) Write(p []byte) (int, error) {
 	if sw.status == 0 {
