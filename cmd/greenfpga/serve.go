@@ -53,7 +53,7 @@ func cmdServe(args []string) error {
 	cacheEntries := fs.Int("cache", 1024, "content-addressed result cache entries")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	timeout := fs.Duration("timeout", 30*time.Second,
-		"per-request compute deadline: overruns answer 504 deadline_exceeded (0 disables)")
+		"per-request compute deadline: overruns answer 504 deadline_exceeded (0 disables); a POST body must arrive within the same duration, counted separately before the evaluation's")
 	endpointTimeouts := fs.String("endpoint-timeouts", "",
 		"per-endpoint deadline overrides, comma-separated path=duration (e.g. /v1/mc=2m,/v1/sweep=1m)")
 	maxQueueWait := fs.Duration("max-queue-wait", 2*time.Second,

@@ -3,10 +3,13 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +17,7 @@ import (
 
 	"greenfpga/api"
 	"greenfpga/internal/config"
+	"greenfpga/internal/store"
 )
 
 // TestHitLaneExactlyOnce drives repeated, re-spelled, evicted,
@@ -23,7 +27,8 @@ import (
 // every answer, one encode stage sample; bytes and Content-Length equal
 // to the first answer of the same study; and hits answered by the hit
 // lane — inside the fault wrap, ahead of the limiter and the deadline —
-// while everything else takes the full path.
+// once a full-path hit has indexed the body, while everything else
+// takes the full path.
 func TestHitLaneExactlyOnce(t *testing.T) {
 	var wrapped, withDeadline atomic.Int64
 	_, hts := newTestServer(t, Options{
@@ -74,7 +79,9 @@ func TestHitLaneExactlyOnce(t *testing.T) {
 		study            string // answers of one study share bytes
 	}{
 		{"first", "/v1/evaluate", eval, 200, "miss", 1, full, "eval"},
-		{"repeat", "/v1/evaluate", eval, 200, "hit", 1, hit, "eval"},
+		// A miss indexes nothing; the full path's hit indexes the body.
+		{"repeat", "/v1/evaluate", eval, 200, "hit", 1, full, "eval"},
+		{"second repeat", "/v1/evaluate", eval, 200, "hit", 1, hit, "eval"},
 		// The batch's two misses evict the evaluate result from the
 		// two-entry LRU; its digest entry outlives it.
 		{"evict", "/v1/evaluate/batch", evict, 200, "", 2, batch, "batch"},
@@ -85,7 +92,8 @@ func TestHitLaneExactlyOnce(t *testing.T) {
 		{"legacy sweep", "/v1/sweep", sweepLegacy, 200, "miss", 1, full, "sweep"},
 		{"spec sweep", "/v1/sweep", sweepSpec, 200, "hit", 1, full, "sweep"},
 		{"repeat spec sweep", "/v1/sweep", sweepSpec, 200, "hit", 1, hit, "sweep"},
-		{"repeat legacy sweep", "/v1/sweep", sweepLegacy, 200, "hit", 1, hit, "sweep"},
+		{"repeat legacy sweep", "/v1/sweep", sweepLegacy, 200, "hit", 1, full, "sweep"},
+		{"second repeat legacy sweep", "/v1/sweep", sweepLegacy, 200, "hit", 1, hit, "sweep"},
 		// Over the admission bound: served, never cached or indexed.
 		{"oversized sweep", "/v1/sweep", bigSweep, 200, "miss", 1, full, "big"},
 		{"repeat oversized sweep", "/v1/sweep", bigSweep, 200, "miss", 1, full, "big"},
@@ -156,8 +164,8 @@ func TestHitLaneExactlyOnce(t *testing.T) {
 }
 
 // TestHitLanePanicRecovered checks recovery covers the hit lane: a
-// fault panicking on a repeated body answers the 500 internal envelope
-// and is counted, and the next repeat is a clean hit again.
+// fault panicking on a body the index holds answers the 500 internal
+// envelope and is counted, and the next repeat is a clean hit again.
 func TestHitLanePanicRecovered(t *testing.T) {
 	var boom atomic.Bool
 	_, hts := newTestServer(t, Options{
@@ -174,6 +182,10 @@ func TestHitLanePanicRecovered(t *testing.T) {
 	code, _, miss := postRaw(t, hts.URL+"/v1/compare", body)
 	if code != http.StatusOK {
 		t.Fatalf("miss: %d %s", code, miss)
+	}
+	// The full path's hit indexes the body for the lane.
+	if code, hdr, _ := postRaw(t, hts.URL+"/v1/compare", body); code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("repeat: %d X-Cache=%q, want a 200 hit", code, hdr.Get("X-Cache"))
 	}
 	boom.Store(true)
 	code, hdr, data := postRaw(t, hts.URL+"/v1/compare", body)
@@ -196,21 +208,19 @@ func TestHitLanePanicRecovered(t *testing.T) {
 	}
 }
 
-// TestStalledBodyAnsweredByDeadline sends a body shorter than its
-// Content-Length and stalls: the endpoint's deadline bounds the body
-// read, so the client gets a 504 deadline_exceeded envelope shortly
-// after it instead of waiting on its own stalled upload.
-func TestStalledBodyAnsweredByDeadline(t *testing.T) {
-	_, hts := newTestServer(t, Options{RequestTimeout: 300 * time.Millisecond})
+// stallBody sends a POST to path on hts announcing a Content-Length of
+// announced bytes, sends only partial, and returns the response, its
+// body and how long it took to arrive (failing after 10s).
+func stallBody(t *testing.T, hts *httptest.Server, path string, announced int, partial string) (*http.Response, []byte, time.Duration) {
+	t.Helper()
 	conn, err := net.Dial("tcp", hts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	start := time.Now()
-	const partial = `{"domain"` // 9 of the 100 bytes announced
-	if _, err := fmt.Fprintf(conn, "POST /v1/compare HTTP/1.1\r\nHost: greenfpga\r\n"+
-		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n%s", partial); err != nil {
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: greenfpga\r\n"+
+		"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", path, announced, partial); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
@@ -218,24 +228,68 @@ func TestStalledBodyAnsweredByDeadline(t *testing.T) {
 	}
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
-		t.Fatalf("no response %v after sending a stalled body: %v", time.Since(start), err)
+		t.Fatalf("%s: no response %v after sending a stalled body: %v", path, time.Since(start), err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("answered after %v, want shortly after the 300ms deadline", took)
+	return resp, data, time.Since(start)
+}
+
+// TestStalledBodyAnsweredByDeadline sends bodies shorter than their
+// Content-Length and stalls, on a compute endpoint, the batch endpoint
+// and the job submission: the route's deadline bounds the body read,
+// so the client gets a 504 deadline_exceeded envelope shortly after it
+// instead of waiting on its own stalled upload.
+func TestStalledBodyAnsweredByDeadline(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	s, hts := newTestServer(t, Options{Store: st, RequestTimeout: 300 * time.Millisecond})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		_ = st.Close()
+	})
+	const partial = `{"domain"` // 9 of the 100 bytes announced
+	for i, path := range []string{"/v1/compare", "/v1/evaluate/batch", "/v1/jobs"} {
+		resp, data, took := stallBody(t, hts, path, 100, partial)
+		if took > 5*time.Second {
+			t.Errorf("%s: answered after %v, want shortly after the 300ms deadline", path, took)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d %s, want 504", path, resp.StatusCode, data)
+		}
+		if e := decodeErr(t, data); e.Code != "deadline_exceeded" {
+			t.Errorf("%s: envelope code %q, want deadline_exceeded", path, e.Code)
+		}
+		if got := metricValue(t, hts, "greenfpga_deadline_exceeded_total"); got != i+1 {
+			t.Errorf("%s: greenfpga_deadline_exceeded_total = %d, want %d", path, got, i+1)
+		}
+	}
+}
+
+// TestStalledBodyPinsLittleMemory announces a 1 MiB body, sends 9
+// bytes and stalls: the body read sizes its buffer from what arrives,
+// not from the announcement, so the whole exchange up to the 504
+// allocates far less than the announced MiB.
+func TestStalledBodyPinsLittleMemory(t *testing.T) {
+	_, hts := newTestServer(t, Options{RequestTimeout: 300 * time.Millisecond})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, data, _ := stallBody(t, hts, "/v1/compare", maxBody, `{"domain"`)
+	runtime.ReadMemStats(&after)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d %s, want 504", resp.StatusCode, data)
 	}
-	if e := decodeErr(t, data); e.Code != "deadline_exceeded" {
-		t.Errorf("envelope code %q, want deadline_exceeded", e.Code)
-	}
-	if got := metricValue(t, hts, "greenfpga_deadline_exceeded_total"); got != 1 {
-		t.Errorf("greenfpga_deadline_exceeded_total = %d, want 1", got)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes for a stalled 1 MiB announcement", allocated)
+	if allocated > maxBody/4 {
+		t.Errorf("allocated %d bytes before the 504, want far less than the %d announced", allocated, maxBody)
 	}
 }
 
@@ -244,9 +298,9 @@ func TestStalledBodyAnsweredByDeadline(t *testing.T) {
 // once, queues for the limiter, and is still computing when a deadline
 // set at its arrival would fire; were that deadline still on the
 // connection, net/http's background read would fail on it and cancel
-// the request context. It must be answered. (net/http itself lifts a
-// connection's read deadline when a body reaches EOF; the hit lane
-// lifts it too, for bodies that end otherwise.)
+// the request context. It must be answered. (readBody leaves lifting
+// the deadline to net/http, which does so when a body reaches EOF,
+// before its background read starts; this test pins that behaviour.)
 func TestQueuedRequestOutlivesBodyReadDeadline(t *testing.T) {
 	release := make(chan struct{})
 	var first atomic.Bool

@@ -2,12 +2,13 @@
 // service: the api package's request/response types exposed at
 // /v1/..., plus /healthz and /metrics.
 //
-// Request flow: every request is counted; a compute body is read once
-// and, when its digest names a cached result, answered at once (the
-// hit lane: no decode, limiter or deadline). Other compute requests
-// pass through a bounded-wait concurrency limiter (a saturated server
-// sheds load with 503 + Retry-After instead of queueing unboundedly)
-// and a per-endpoint request deadline (overruns answer 504 with a
+// Request flow: every request is counted; a POST body is read once,
+// within its route's deadline, and a compute body whose digest names a
+// cached result is answered at once (the hit lane: no decode, limiter
+// or deadline). Other compute requests pass through a bounded-wait
+// concurrency limiter (a saturated server sheds load with 503 +
+// Retry-After instead of queueing unboundedly) and a per-endpoint
+// request deadline (overruns answer 504 with a
 // deadline_exceeded envelope and cancel the compute context, which the
 // api layer's sweeps, frontiers and Monte-Carlo workers observe), and
 // each POST body is decoded strictly (unknown fields rejected) into
@@ -37,6 +38,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"greenfpga/api"
@@ -215,16 +217,16 @@ func New(opts Options) (*Server, error) {
 		s.access = &accessLogger{w: opts.AccessLog}
 	}
 	s.mux = http.NewServeMux()
-	s.route("GET /healthz", "/healthz", nil, false, false, s.handleHealthz)
-	s.route("GET /metrics", "/metrics", nil, false, false, s.handleMetrics)
-	s.route("GET /v1/version", "/v1/version", nil, false, false, s.handleVersion)
-	s.route("GET /v1/devices", "/v1/devices", nil, false, false, s.handleDevices)
-	s.route("GET /v1/domains", "/v1/domains", nil, false, false, s.handleDomains)
-	s.route("GET /v1/regions", "/v1/regions", nil, false, false, s.handleRegions)
-	s.route("GET /v1/experiments", "/v1/experiments", nil, false, false, s.handleExperimentList)
-	s.route("GET /v1/experiments/{id}", "/v1/experiments/{id}", nil, true, true, s.handleExperiment)
+	s.route("GET /healthz", "/healthz", false, false, s.handleHealthz)
+	s.route("GET /metrics", "/metrics", false, false, s.handleMetrics)
+	s.route("GET /v1/version", "/v1/version", false, false, s.handleVersion)
+	s.route("GET /v1/devices", "/v1/devices", false, false, s.handleDevices)
+	s.route("GET /v1/domains", "/v1/domains", false, false, s.handleDomains)
+	s.route("GET /v1/regions", "/v1/regions", false, false, s.handleRegions)
+	s.route("GET /v1/experiments", "/v1/experiments", false, false, s.handleExperimentList)
+	s.route("GET /v1/experiments/{id}", "/v1/experiments/{id}", true, true, s.handleExperiment)
 	for _, ep := range api.Endpoints {
-		s.route("POST "+ep.Path, ep.Path, ep, true, true, s.handleCompute(ep))
+		s.computeRoute(ep)
 	}
 	// The batch endpoint is not limited as a whole: it charges the
 	// limiter per item inside the fan-out, so -max-concurrent bounds
@@ -232,7 +234,7 @@ func New(opts Options) (*Server, error) {
 	// whole-batch slot would both under-count the work and deadlock
 	// against per-item slots). It still gets the compute stack — one
 	// deadline over the whole batch, panic recovery, fault wrap.
-	s.route("POST /v1/evaluate/batch", "/v1/evaluate/batch", nil, false, true, s.handleBatch)
+	s.route("POST /v1/evaluate/batch", "/v1/evaluate/batch", false, true, s.handleBatch)
 	if opts.Store != nil {
 		s.store = opts.Store
 		mgr, err := jobs.New(jobs.Options{
@@ -249,11 +251,11 @@ func New(opts Options) (*Server, error) {
 		// manager's workers, not in-request. They are registered only
 		// with a store — an async job must outlive the process that
 		// accepted it, which requires the durable tier.
-		s.route("POST /v1/jobs", "/v1/jobs", nil, false, false, s.handleJobSubmit)
-		s.route("GET /v1/jobs", "/v1/jobs", nil, false, false, s.handleJobList)
-		s.route("GET /v1/jobs/{id}", "/v1/jobs/{id}", nil, false, false, s.handleJobStatus)
-		s.route("GET /v1/jobs/{id}/result", "/v1/jobs/{id}/result", nil, false, false, s.handleJobResult)
-		s.route("DELETE /v1/jobs/{id}", "/v1/jobs/{id}", nil, false, false, s.handleJobDelete)
+		s.route("POST /v1/jobs", "/v1/jobs", false, false, s.handleJobSubmit)
+		s.route("GET /v1/jobs", "/v1/jobs", false, false, s.handleJobList)
+		s.route("GET /v1/jobs/{id}", "/v1/jobs/{id}", false, false, s.handleJobStatus)
+		s.route("GET /v1/jobs/{id}/result", "/v1/jobs/{id}/result", false, false, s.handleJobResult)
+		s.route("DELETE /v1/jobs/{id}", "/v1/jobs/{id}", false, false, s.handleJobDelete)
 	}
 	return s, nil
 }
@@ -261,22 +263,34 @@ func New(opts Options) (*Server, error) {
 // route registers a handler behind the middleware stack, outermost
 // first: the telemetry wrapper (request ID accept-or-generate, trace
 // context, duration/size/stage histograms, the access log), request
-// counting, the hit lane (compute endpoints of the api table, ep
-// non-nil; see hitLane), bounded-wait concurrency limiting (limited
-// endpoints; saturation sheds with 503 + Retry-After), the request
-// deadline (compute endpoints; overruns answer 504 and cancel the
-// compute context), panic recovery (all endpoints; panics answer 500
-// internal envelopes and are counted), and the test-only fault wrap
-// (compute endpoints, innermost — where a misbehaving handler would
-// fault). The limiter and the deadline bound evaluations, so a hit
-// lane answer skips them; it still runs inside its own recovery and
-// fault wrap. The deadline middleware runs its inner handler on a
-// child goroutine against a buffered writer, so recovery sits inside
-// it: a panicking compute handler is recovered on that goroutine and
-// its half-written buffer replaced with a clean envelope. The
-// telemetry wrapper sits outside everything so a shed, timed-out or
-// panicking request is observed like any other.
-func (s *Server) route(pattern, endpoint string, ep *api.Endpoint, limited, compute bool, h http.HandlerFunc) {
+// counting, the body read (POST routes; see readBody), the hit lane
+// (compute endpoints of the api table; see computeRoute),
+// bounded-wait concurrency limiting (limited endpoints; saturation
+// sheds with 503 + Retry-After), the request deadline (compute
+// endpoints; overruns answer 504 and cancel the compute context),
+// panic recovery (all endpoints; panics answer 500 internal envelopes
+// and are counted), and the test-only fault wrap (compute endpoints,
+// innermost — where a misbehaving handler would fault). The deadline
+// middleware runs its inner handler on a child goroutine against a
+// buffered writer, so recovery sits inside it: a panicking compute
+// handler is recovered on that goroutine and its half-written buffer
+// replaced with a clean envelope. The telemetry wrapper sits outside
+// everything so a shed, timed-out or panicking request is observed
+// like any other.
+func (s *Server) route(pattern, endpoint string, limited, compute bool, h http.HandlerFunc) {
+	s.register(pattern, endpoint, nil, limited, compute, h)
+}
+
+// computeRoute registers an endpoint of the api table: limited, under
+// the compute stack, with the hit lane. The limiter and the deadline
+// bound evaluations, so a hit lane answer skips them; it still runs
+// inside its own recovery and fault wrap.
+func (s *Server) computeRoute(ep *api.Endpoint) {
+	s.register("POST "+ep.Path, ep.Path, ep, true, true, s.handleCompute(ep))
+}
+
+// register is route with the hit lane of ep when ep is non-nil.
+func (s *Server) register(pattern, endpoint string, ep *api.Endpoint, limited, compute bool, h http.HandlerFunc) {
 	wrap := func(next http.Handler) http.Handler {
 		if compute && s.opts.ComputeWrap != nil {
 			next = s.opts.ComputeWrap(next)
@@ -292,6 +306,7 @@ func (s *Server) route(pattern, endpoint string, ep *api.Endpoint, limited, comp
 	if ep != nil {
 		hit = wrap(http.HandlerFunc(s.writeHit))
 	}
+	post := strings.HasPrefix(pattern, "POST ")
 	ctr := s.m.counter(endpoint)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -310,8 +325,11 @@ func (s *Server) route(pattern, endpoint string, ep *api.Endpoint, limited, comp
 		ctr.Add(1)
 		s.m.inflight.Add(1)
 		defer s.m.inflight.Add(-1)
-		if ep != nil && s.hitLane(sw, r, ep.Path, timeout, hit) {
-			return
+		if post {
+			rb, answered := s.readBody(sw, r, endpoint, timeout)
+			if answered || ep != nil && s.hitLane(sw, r, rb, hit) {
+				return
+			}
 		}
 		if limited {
 			wait, err := s.limiter.AcquireWait(r.Context(), s.opts.MaxQueueWait)
@@ -514,10 +532,8 @@ func (s *Server) writeError(w http.ResponseWriter, e *api.Error) {
 // validation error itself when the body is malformed.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	defer telemetry.StartStage(r.Context(), "decode")()
-	if _, read := r.Body.(*requestBody); !read {
-		// The hit lane bounded a compute body as it read it.
-		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	}
+	// readBody bounded the body by maxBody as it read it; its replay
+	// ends with the read's error.
 	err := api.DecodeStrict(r.Body, dst)
 	if err == nil {
 		return true
@@ -550,6 +566,7 @@ func deadFlight(err error) bool {
 type cachedResponse struct {
 	body []byte // canonical JSON incl. trailing newline; never mutated
 	val  any    // the decoded response the bytes encode
+	key  string // the CanonicalKey it answers (empty for a store hit)
 }
 
 // writeCached answers with a pre-encoded envelope: one Write, no
@@ -568,22 +585,25 @@ func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, state strin
 }
 
 // handleCompute serves one compute endpoint of the api table: strict
-// decode into the endpoint's typed request (from the body the hit
-// lane read) and normalization — keying on the normalized request
-// makes a legacy body and its spec spelling one cache entry — then
-// the cached, coalesced compute path, which indexes the body's digest
-// once its result is in the LRU.
+// decode into the endpoint's typed request (from the body readBody
+// read) and normalization — keying on the normalized request makes a
+// legacy body and its spec spelling one cache entry — then the cached,
+// coalesced compute path. A hit indexes the body's digest (see
+// hitLane), so the same body next skips decoding; a miss indexes
+// nothing, so a body seen once costs the index nothing.
 func (s *Server) handleCompute(ep *api.Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		digest := r.Body.(*requestBody).indexKey()
 		req := ep.NewRequest()
 		if !s.decodeJSON(w, r, req) {
 			return
 		}
-		cr, state, err := s.cached(r.Context(), ep, ep.Normalized(req), true, digest)
+		cr, state, err := s.cached(r.Context(), ep, ep.Normalized(req), true)
 		if err != nil {
 			s.writeError(w, api.ToError(err))
 			return
+		}
+		if state == "hit" {
+			s.index(r, cr)
 		}
 		s.writeCached(w, r, state, cr)
 	}
@@ -596,21 +616,17 @@ func (s *Server) handleCompute(ep *api.Endpoint) http.HandlerFunc {
 // evaluation through the singleflight group ("coalesced"). The
 // endpoint's Admit rule gates admission (for responses too large to be
 // worth pinning). With durable set, the store tier sits under the LRU
-// ("store" hits, and admitted misses persist there). A non-nil
-// digest (a single request's body digest; see hitLane) is indexed to
-// the key whenever the key's result is in the LRU — on a hit and on an
-// admitted miss — so the same body next skips decoding.
+// ("store" hits, and admitted misses persist there).
 //
 // The cache stores encoded bytes, not decoded values: a hit (and a
 // coalesced follower — the flight's result is the leader's encoded
 // envelope) is a single Write that never touches encoding/json.
-func (s *Server) cached(ctx context.Context, ep *api.Endpoint, norm any, durable bool, digest []byte) (*cachedResponse, string, error) {
+func (s *Server) cached(ctx context.Context, ep *api.Endpoint, norm any, durable bool) (*cachedResponse, string, error) {
 	key, err := api.CanonicalKey(ep.Path, norm)
 	if err != nil {
 		return nil, "", &api.Error{Code: "internal", Message: err.Error()}
 	}
 	if v, ok := s.results.Get(key); ok {
-		s.index(digest, key)
 		return v.(*cachedResponse), "hit", nil
 	}
 	durable = durable && s.store != nil
@@ -636,14 +652,14 @@ func (s *Server) cached(ctx context.Context, ep *api.Endpoint, norm any, durable
 		if err != nil {
 			return nil, err
 		}
-		return &cachedResponse{body: body, val: out}, nil
+		return &cachedResponse{body: body, val: out, key: key}, nil
 	})
 	// A flight that died with its leader — the leader's deadline fired,
 	// its client hung up, its handler panicked — proves nothing about
 	// the request, so a follower whose own context is still live starts
 	// a fresh flight instead of inheriting the corpse.
 	if shared && err != nil && deadFlight(err) && ctx.Err() == nil {
-		return s.cached(ctx, ep, norm, durable, digest)
+		return s.cached(ctx, ep, norm, durable)
 	}
 	if shared {
 		s.m.coalesced.Add(1)
@@ -657,7 +673,6 @@ func (s *Server) cached(ctx context.Context, ep *api.Endpoint, norm any, durable
 	}
 	if ep.Admit == nil || ep.Admit(cr.val) {
 		s.results.Put(key, cr)
-		s.index(digest, key)
 		// Persist under the same admission predicate, so the next
 		// process (or an eviction) finds it in the durable tier.
 		if durable {
@@ -740,7 +755,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// hits carry bytes only): a batch miss warms the byte cache for
 		// later singles (and coalesces with concurrent ones); the batch
 		// document embeds the decoded value the bytes retain.
-		cr, _, err := s.cached(r.Context(), evaluate, req.Requests[i].Normalized(), false, nil)
+		cr, _, err := s.cached(r.Context(), evaluate, req.Requests[i].Normalized(), false)
 		if err != nil {
 			resp.Results[i] = api.BatchItem{Error: api.ToError(err)}
 			return nil
